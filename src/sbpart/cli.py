@@ -1,6 +1,7 @@
 """Command-line interface: generate, partition, evaluate, stream, bench.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error (including a flag value the engine or
+generator config rejects), 2 data error.
 """
 from __future__ import annotations
 
@@ -28,6 +29,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _config(cls, **values):
+    """Build a config from flag values; a value it rejects is a usage error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        print(f"sbpart: error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _args_dict(args):
     return {k: v for k, v in vars(args).items() if k != "func"}
 
@@ -49,16 +59,17 @@ def _engine_flags(p):
 def _engine_config(args):
     mode = {"sequential": "sequential", "parallel": "parallel-snapshot",
             "batch": "batch"}[args.mode]
-    return MCMCConfig(beta=args.beta, max_sweeps=args.max_sweeps,
-                      convergence_threshold=args.threshold,
-                      merge_reduction_rate=args.merge_rate,
-                      merge_proposals_per_block=args.proposals,
-                      rng_seed=args.seed, execution_mode=mode,
-                      workers=args.workers)
+    return _config(MCMCConfig, beta=args.beta, max_sweeps=args.max_sweeps,
+                   convergence_threshold=args.threshold,
+                   merge_reduction_rate=args.merge_rate,
+                   merge_proposals_per_block=args.proposals,
+                   rng_seed=args.seed, execution_mode=mode,
+                   workers=args.workers)
 
 
 def cmd_generate(args):
-    cfg = GeneratorConfig(
+    cfg = _config(
+        GeneratorConfig,
         num_nodes=args.num_nodes, num_blocks=args.num_blocks,
         powerlaw_exponent=args.exponent,
         block_size_concentration=args.alpha,
@@ -84,11 +95,11 @@ def cmd_generate(args):
 
 
 def cmd_partition(args):
+    config = _engine_config(args)
     edges = read_edge_tsv(args.edges_file)
     if not edges:
         raise DataError(f"{args.edges_file}: no edges")
     graph = build_graph(edges)
-    config = _engine_config(args)
     t0 = time.perf_counter()
     partition, best_B, best_H = golden_section_search(graph, config)
     elapsed = time.perf_counter() - t0
@@ -133,12 +144,12 @@ def cmd_evaluate(args):
 
 
 def cmd_stream(args):
+    config = _engine_config(args)
     batches = []
     for k in range(1, args.stages + 1):
         batches.append(read_edge_tsv(f"{args.prefix}_stage_{k}.tsv"))
     truth = read_assignment_tsv(args.truth) if args.truth else None
     mask = read_mask_tsv(args.mask, len(truth)) if args.mask and truth else None
-    config = _engine_config(args)
     session = run_stream(batches, config=config, truth=truth,
                          generated_mask=mask,
                          cold_each_stage=args.cold_each_stage)

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import (
-    BlockModelState,
-    Graph,
-    NodeBlockEdgeCounts,
     Partition,
     _bump,
-    apply_move,
+    apply_delta,
     move_delta,
     node_block_edge_counts,
     recompute_block_matrix,
@@ -33,6 +31,15 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass
 class MCMCConfig:
+    """Engine settings.
+
+    execution_mode picks one of two sweeps: "sequential" is the exact
+    Metropolis-Hastings sweep against the live state; "parallel-snapshot"
+    and its second name "batch" evaluate every node against the state at
+    the start of the sweep and apply the accepted moves at a barrier.
+    workers (1 to the CPU count) is the number of processes the snapshot
+    sweep evaluates nodes in; the sequential sweep ignores it.
+    """
     beta: float = 3.0
     max_sweeps: int = 100
     probe_sweeps: int = 8  # sweep budget per intermediate search probe
@@ -41,7 +48,7 @@ class MCMCConfig:
     merge_reduction_rate: float = 0.5
     merge_proposals_per_block: int = 10
     rng_seed: int = 0
-    execution_mode: str = "sequential"  # sequential | parallel-snapshot | batch
+    execution_mode: str = "sequential"
     workers: int = 1
 
     def __post_init__(self):
@@ -56,6 +63,9 @@ class MCMCConfig:
             raise ValueError("convergence_threshold must be positive")
         if self.execution_mode not in ("sequential", "parallel-snapshot", "batch"):
             raise ValueError(f"unknown execution mode {self.execution_mode!r}")
+        if not 1 <= self.workers <= (os.cpu_count() or 1):
+            raise ValueError(f"workers must be between 1 and the CPU count "
+                             f"({os.cpu_count() or 1}), got {self.workers}")
 
 
 @dataclass
@@ -186,31 +196,18 @@ def hastings_correction(i, counts, state_before, state_after, r, s, B):
     return pf, pb
 
 
-def _counts_from_assignment(graph, b, i):
-    out_c, in_c, comb = {}, {}, {}
-    for j, w in graph.out_adj[i].items():
-        t = int(b[j])
-        out_c[t] = out_c.get(t, 0) + w
-        comb[t] = comb.get(t, 0) + w
-    for j, w in graph.in_adj[i].items():
-        t = int(b[j])
-        in_c[t] = in_c.get(t, 0) + w
-        comb[t] = comb.get(t, 0) + w
-    return NodeBlockEdgeCounts(out_c, in_c, comb, graph.out_adj[i].get(i, 0))
-
-
 def _evaluate(graph, assignment, state, B, beta, i,
               u_edge, u_coin, u_prop, u_accept):
     """One proposal for node i against (assignment, state); no mutation.
 
-    Returns (outcome, commit) where commit is (delta, ki_out, ki_in, s) if
-    the move was accepted, else None.
+    Returns (outcome, commit) where commit is the move_delta triple
+    (delta, ki_out, ki_in) if the move was accepted, else None.
     """
     r = int(assignment[i])
     s = _propose(graph, assignment, state, B, i, u_edge, u_coin, u_prop)
     if s == r:
         return ProposalOutcome(i, r, s, 0.0, 0.0, 0.0, 0.0, False), None
-    counts = _counts_from_assignment(graph, assignment, i)
+    counts = node_block_edge_counts(graph, assignment, i)
     delta, ki_out, ki_in = move_delta(counts, r, s)
     rows, cols = state.rows, state.cols
     d_out, d_in, d = state.d_out, state.d_in, state.d
@@ -258,24 +255,7 @@ def _evaluate(graph, assignment, state, B, beta, i,
             p_accept = 1.0
     accepted = bool(u_accept <= p_accept)
     outcome = ProposalOutcome(i, r, s, dS, pf, pb, p_accept, accepted)
-    return outcome, ((delta, ki_out, ki_in, s) if accepted else None)
-
-
-def _commit(state, assignment, i, r, commit):
-    delta, ki_out, ki_in, s = commit
-    rows, cols = state.rows, state.cols
-    for (t1, t2), dw in delta.items():
-        if dw == 0:
-            continue
-        _bump(rows[t1], t2, dw)
-        _bump(cols[t2], t1, dw)
-    state.d_out[r] -= ki_out
-    state.d_out[s] += ki_out
-    state.d_in[r] -= ki_in
-    state.d_in[s] += ki_in
-    state.d[r] -= ki_out + ki_in
-    state.d[s] += ki_out + ki_in
-    assignment[i] = s
+    return outcome, ((delta, ki_out, ki_in) if accepted else None)
 
 
 def nodal_update(i, partition, state, graph, config, rng):
@@ -288,7 +268,8 @@ def nodal_update(i, partition, state, graph, config, rng):
                                 state.num_blocks, config.beta, i,
                                 u[0], u[1], u[2], u[3])
     if commit is not None:
-        _commit(state, partition.assignment, i, r, commit)
+        apply_delta(state, r, outcome.proposed_block, *commit)
+        partition.assignment[i] = outcome.proposed_block
     return outcome
 
 
@@ -332,12 +313,14 @@ def snapshot_outcomes(graph, assignment, state, config, uniforms):
 
 
 def mcmc_sweep(graph, partition, state, config, sweep_index=0):
-    """One full pass of nodal updates.
+    """One full pass of nodal updates, in one of two sweeps.
 
-    sequential: nodes visited in random order against the live state.
-    parallel-snapshot: all nodes evaluated against the frozen sweep-start
-    state; accepted moves are applied at a barrier and M is rebuilt once.
-    batch: matrix-form snapshot sweep (see batch_sweep).
+    sequential: nodes visited in random order against the live state; each
+    accepted move updates M in place.
+    parallel-snapshot (also named batch): every node is evaluated against
+    the frozen sweep-start state, in config.workers processes; accepted
+    moves are applied at a barrier and M is rebuilt once.
+    Both replay the same counter-based draws for a given sweep_index.
     Returns (partition, state, H_after, num_accepted).
     """
     N = graph.num_nodes
@@ -352,25 +335,19 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0):
             i = int(i)
             if graph.degree[i] == 0:
                 continue
-            r = int(b[i])
-            _, commit = _evaluate(graph, b, state, B, beta, i,
+            o, commit = _evaluate(graph, b, state, B, beta, i,
                                   U[i, 0], U[i, 1], U[i, 2], U[i, 3])
             if commit is not None:
-                _commit(state, b, i, r, commit)
+                apply_delta(state, o.current_block, o.proposed_block, *commit)
+                b[i] = o.proposed_block
                 accepted += 1
         return partition, state, description_length(state, N, E), accepted
-    if config.execution_mode == "parallel-snapshot":
-        outcomes = snapshot_outcomes(graph, b.copy(), state, config, U)
-        moves = [(o.node, o.proposed_block) for o in outcomes if o.accepted]
-        for i, s in moves:
-            b[i] = s
-        state = recompute_block_matrix(graph, partition)
-        return partition, state, description_length(state, N, E), len(moves)
-    if config.execution_mode == "batch":
-        partition, state, accepted = _batch_apply(graph, partition, state,
-                                                  config, U)
-        return partition, state, description_length(state, N, E), accepted
-    raise ValueError(f"unknown execution mode {config.execution_mode!r}")
+    outcomes = snapshot_outcomes(graph, b.copy(), state, config, U)
+    moves = [(o.node, o.proposed_block) for o in outcomes if o.accepted]
+    for i, s in moves:
+        b[i] = s
+    state = recompute_block_matrix(graph, partition)
+    return partition, state, description_length(state, N, E), len(moves)
 
 
 def run_mcmc(graph, partition, state, config, sweep_base=0, sweep_cap=None):
@@ -637,9 +614,13 @@ def golden_section_search(graph, config, initial_partition=None):
     B0 = part0.num_blocks
     cache[B0] = [description_length(state0, N, E),
                  part0.assignment.copy(), B0]
+    # A given start (a warm start's split partition) has had no MCMC yet:
+    # its H must not bound the bracket, so the first probe at B0 relaxes it
+    # and replaces the entry.
+    unrelaxed = {B0} if initial_partition is not None else set()
 
     def run_at(target):
-        if target in cache:
+        if target in cache and target not in unrelaxed:
             return cache[target][0]
         above = [(v[2], k) for k, v in cache.items() if v[2] >= target]
         if above:
@@ -663,8 +644,9 @@ def golden_section_search(graph, config, initial_partition=None):
             state = recompute_block_matrix(graph, compacted)
             H = description_length(state, N, E)
         entry = [H, compacted.assignment.copy(), compacted.num_blocks]
-        if target not in cache or cache[target][0] > H:
+        if target not in cache or target in unrelaxed or cache[target][0] > H:
             cache[target] = entry
+        unrelaxed.discard(target)
         return cache[target][0]
 
     # expansion phase: an under-split start must be able to climb
@@ -739,155 +721,6 @@ def golden_section_search(graph, config, initial_partition=None):
     if H <= best[0]:
         return compacted, compacted.num_blocks, H
     return Partition(best[1]), best[2], best[0]
-
-
-# ---------------------------------------------------------------------------
-# matrix-form batch sweep
-
-def batch_outcomes(graph, assignment, state, config, uniforms):
-    """Vectorized snapshot evaluation of all nodes in matrix form.
-
-    Proposals use matrix products M = Gamma^T A Gamma, dM_row = A Gamma and
-    dM_col = A^T Gamma; per-proposal edge counts are restricted to the two
-    affected rows/columns. Returns arrays keyed per node.
-    """
-    from scipy.sparse import csr_matrix
-
-    N = graph.num_nodes
-    B = state.num_blocks
-    beta = config.beta
-    b = assignment
-    M = state.to_dense()
-    d_out = state.d_out
-    d_in = state.d_in
-    d = state.d
-    A = graph.adjacency_csr()
-    gamma = csr_matrix((np.ones(N, dtype=np.int64), (np.arange(N), b)),
-                       shape=(N, B))
-    K_out = np.asarray((A @ gamma).todense(), dtype=np.int64)
-    K_in = np.asarray((A.T @ gamma).todense(), dtype=np.int64)
-    selfw = np.fromiter((graph.out_adj[i].get(i, 0) for i in range(N)),
-                        dtype=np.int64, count=N)
-    comb_cum = np.cumsum(M + M.T, axis=1)
-
-    proposal = np.full(N, -1, dtype=np.int64)
-    dS = np.zeros(N)
-    p_fwd = np.zeros(N)
-    p_bwd = np.zeros(N)
-    p_acc = np.zeros(N)
-    accept = np.zeros(N, dtype=bool)
-    evaluated = np.zeros(N, dtype=bool)
-
-    for i in range(N):
-        if graph.degree[i] == 0:
-            continue
-        r = int(b[i])
-        j = graph.draw_neighbor(i, uniforms[i, 0])
-        u_blk = int(b[j])
-        du = int(d[u_blk])
-        if uniforms[i, 1] <= B / (du + B):
-            s = min(int(uniforms[i, 2] * B), B - 1)
-        else:
-            s = int(np.searchsorted(comb_cum[u_blk],
-                                    uniforms[i, 2] * du, side="right"))
-            s = min(s, B - 1)
-        proposal[i] = s
-        if s == r:
-            continue
-        evaluated[i] = True
-        ko = K_out[i]
-        ki = K_in[i]
-        w_self = int(selfw[i])
-        out_a = ko.copy()
-        in_a = ki.copy()
-        if w_self:
-            out_a[r] -= w_self
-            out_a[s] += w_self
-            in_a[r] -= w_self
-            in_a[s] += w_self
-        row_r_a = M[r] - ko
-        row_s_a = M[s] + out_a
-        col_r_a = M[:, r] - ki
-        col_s_a = M[:, s] + in_a
-        # cross entries appear in both a row and a column of the window
-        row_r_a[r] += -ki[r] + w_self
-        row_r_a[s] += in_a[r]
-        row_s_a[r] += -ki[s]
-        row_s_a[s] += in_a[s] - w_self
-        col_r_a[r] += -ko[r] + w_self
-        col_r_a[s] += out_a[r]
-        col_s_a[r] += -ko[s]
-        col_s_a[s] += out_a[s] - w_self
-        ki_out = int(ko.sum())
-        ki_in = int(ki.sum())
-        dor_a = int(d_out[r]) - ki_out
-        dos_a = int(d_out[s]) + ki_out
-        dir_a = int(d_in[r]) - ki_in
-        dis_a = int(d_in[s]) + ki_in
-
-        # collapsed-form dS over changed cells; identical before/after values
-        # cancel exactly, matching the per-node evaluation's sparse formula
-        dSi = 0.0
-        for before, after, is_col in ((M[r], row_r_a, False),
-                                      (M[s], row_s_a, False),
-                                      (M[:, r], col_r_a, True),
-                                      (M[:, s], col_s_a, True)):
-            chg = np.nonzero(before != after)[0]
-            if is_col:
-                chg = chg[(chg != r) & (chg != s)]
-            for t in chg:
-                w_b = int(before[t])
-                w_a = int(after[t])
-                if w_b:
-                    dSi += w_b * math.log(w_b)
-                if w_a:
-                    dSi -= w_a * math.log(w_a)
-        for db, da in ((int(d_out[r]), dor_a), (int(d_out[s]), dos_a),
-                       (int(d_in[r]), dir_a), (int(d_in[s]), dis_a)):
-            if db:
-                dSi -= db * math.log(db)
-            if da:
-                dSi += da * math.log(da)
-        dS[i] = dSi
-
-        K = (ko + ki).astype(np.float64)
-        pf = float(np.sum(K * (M[:, s] + M[s, :] + 1.0) / (d + B)))
-        d_a = d.astype(np.float64).copy()
-        d_a[r] = dor_a + dir_a
-        d_a[s] = dos_a + dis_a
-        pb = float(np.sum(K * (col_r_a + row_r_a + 1.0) / (d_a + B)))
-        p_fwd[i] = pf
-        p_bwd[i] = pb
-        if pf <= 0.0:
-            pa = 1.0 if dS[i] < 0 else 0.0
-        else:
-            try:
-                pa = min(math.exp(-beta * dS[i]) * pb / pf, 1.0)
-            except OverflowError:
-                pa = 1.0
-        p_acc[i] = pa
-        accept[i] = uniforms[i, 3] <= pa
-    return {"proposal": proposal, "delta_S": dS, "p_forward": p_fwd,
-            "p_backward": p_bwd, "p_accept": p_acc, "accept": accept,
-            "evaluated": evaluated}
-
-
-def _batch_apply(graph, partition, state, config, uniforms):
-    res = batch_outcomes(graph, partition.assignment, state, config, uniforms)
-    mask = res["accept"]
-    partition.assignment[mask] = res["proposal"][mask]
-    state = recompute_block_matrix(graph, partition)
-    return partition, state, int(mask.sum())
-
-
-def batch_sweep(graph, partition, state, config, sweep_index=0, uniforms=None):
-    """One matrix-form snapshot sweep; accepted moves applied at the barrier."""
-    if uniforms is None:
-        uniforms = _sweep_uniforms(config.rng_seed, sweep_index,
-                                   graph.num_nodes)
-    partition, state, _ = _batch_apply(graph, partition, state, config,
-                                       uniforms)
-    return partition, state
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ class GeneratedGraph:
 class StreamSchedule:
     mode: str
     stages: list = field(default_factory=list)
-    node_frontiers: list | None = None
 
     @property
     def num_stages(self):
@@ -257,19 +256,16 @@ def emit_streaming_stages(generated, mode, num_stages, rng_seed=0):
     inside = np.zeros(n, dtype=bool)
     emitted = set()
     batches = []
-    frontiers = []
     pos = 0
     target_w = graph.total_edge_weight
     emitted_w = 0
     for stage in range(num_stages - 1):
         goal = target_w * (stage + 1) / num_stages
         batch = []
-        frontier = []
         while pos < n and emitted_w < goal:
             node = visit_order[pos]
             pos += 1
             inside[node] = True
-            frontier.append(node)
             for j, w in graph.out_adj[node].items():
                 if inside[j] and (node, j) not in emitted:
                     emitted.add((node, j))
@@ -281,8 +277,6 @@ def emit_streaming_stages(generated, mode, num_stages, rng_seed=0):
                     batch.append((j, node, w))
                     emitted_w += w
         batches.append(batch)
-        frontiers.append(frontier)
     final = [(i, j, w) for i, j, w in edges if (i, j) not in emitted]
     batches.append(final)
-    frontiers.append([v for v in visit_order[pos:]])
-    return StreamSchedule("snowball", batches, frontiers)
+    return StreamSchedule("snowball", batches)

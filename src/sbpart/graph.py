@@ -21,7 +21,7 @@ class Graph:
     """
 
     __slots__ = ("num_nodes", "out_adj", "in_adj", "total_edge_weight",
-                 "degree", "_nbr_ids", "_nbr_cumw", "_csr")
+                 "degree", "_nbr_ids", "_nbr_cumw")
 
     def __init__(self, num_nodes, out_adj, in_adj):
         self.num_nodes = num_nodes
@@ -34,7 +34,6 @@ class Graph:
         self.degree = deg
         self._nbr_ids = None
         self._nbr_cumw = None
-        self._csr = None
 
     def edge_list(self):
         """All (source, target, weight) triples, one per merged edge."""
@@ -71,21 +70,6 @@ class Graph:
             raise ValueError(f"node {i} has no edges to draw from")
         idx = np.searchsorted(c, u * c[-1], side="right")
         return int(ids[i][min(idx, len(c) - 1)])
-
-    def adjacency_csr(self):
-        """Sparse CSR adjacency (weights), cached."""
-        if self._csr is None:
-            from scipy.sparse import csr_matrix
-            rows, cols, vals = [], [], []
-            for i in range(self.num_nodes):
-                for j, w in self.out_adj[i].items():
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(w)
-            self._csr = csr_matrix(
-                (vals, (rows, cols)),
-                shape=(self.num_nodes, self.num_nodes), dtype=np.int64)
-        return self._csr
 
 
 def build_graph(edge_list, num_nodes=None):
@@ -146,9 +130,6 @@ class Partition:
     def copy(self):
         return Partition(self.assignment.copy(), self.num_blocks)
 
-    def used_blocks(self):
-        return np.unique(self.assignment)
-
     def compact(self):
         """Relabel used blocks to a dense [0, B') range."""
         used, inverse = np.unique(self.assignment, return_inverse=True)
@@ -181,9 +162,6 @@ class BlockModelState:
     def get(self, r, s):
         return self.rows[r].get(s, 0)
 
-    def total_weight(self):
-        return sum(sum(row.values()) for row in self.rows)
-
     def to_dense(self):
         B = self.num_blocks
         m = np.zeros((B, B), dtype=np.int64)
@@ -211,17 +189,16 @@ class NodeBlockEdgeCounts:
     self_loop: int = 0
 
 
-def node_block_edge_counts(graph, partition, i):
-    if i < 0 or i >= graph.num_nodes:
-        raise ValueError(f"node id {i} out of range")
-    b = partition.assignment
+def node_block_edge_counts(graph, assignment, i):
+    """Edge weight between node i and each block of the labelling
+    `assignment` (an array of block ids indexed by node)."""
     out_c, in_c, comb = {}, {}, {}
     for j, w in graph.out_adj[i].items():
-        t = int(b[j])
+        t = int(assignment[j])
         out_c[t] = out_c.get(t, 0) + w
         comb[t] = comb.get(t, 0) + w
     for j, w in graph.in_adj[i].items():
-        t = int(b[j])
+        t = int(assignment[j])
         in_c[t] = in_c.get(t, 0) + w
         comb[t] = comb.get(t, 0) + w
     return NodeBlockEdgeCounts(out_c, in_c, comb, graph.out_adj[i].get(i, 0))
@@ -306,7 +283,12 @@ def apply_move(state, i, from_block, to_block, counts):
     r, s = from_block, to_block
     if r == s:
         raise ValueError("no-op move: from_block equals to_block")
-    delta, ki_out, ki_in = move_delta(counts, r, s)
+    return apply_delta(state, r, s, *move_delta(counts, r, s))
+
+
+def apply_delta(state, r, s, delta, ki_out, ki_in):
+    """Add the M change of one node move r -> s, as returned by move_delta,
+    to the state in place. The MCMC sweep commits its moves through here."""
     rows, cols = state.rows, state.cols
     for (t1, t2), dw in delta.items():
         if dw == 0:

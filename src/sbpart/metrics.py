@@ -9,7 +9,6 @@ Entropies are in nats.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -234,13 +233,16 @@ class ComputationalReport:
 
 
 def peak_memory_bytes():
-    """Best-effort peak RSS of this process."""
+    """Best-effort peak RSS over the lifetime of the process, not of one
+    stage: the larger of this process's high-water mark and that of its
+    largest finished worker process."""
     try:
         import resource
-        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return int(kb) * 1024
-    except Exception:
+    except ImportError:
         return None
+    kb = max(resource.getrusage(who).ru_maxrss
+             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return int(kb) * 1024
 
 
 def computational_report(num_edges, elapsed_seconds, num_workers=1,
@@ -262,15 +264,3 @@ def computational_report(num_edges, elapsed_seconds, num_workers=1,
         peak_memory_bytes=peak_memory_bytes() if memory_probe else None,
         per_stage=per_stage,
     )
-
-
-class Stopwatch:
-    """Context manager around perf_counter for report timings."""
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False

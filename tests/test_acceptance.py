@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from sbpart.cli import bench_rows
-from sbpart.engine import (MCMCConfig, batch_outcomes, delta_log_posterior,
-                           entropy_sum, golden_section_search,
-                           snapshot_outcomes, _sweep_uniforms)
+from sbpart.engine import (MCMCConfig, delta_log_posterior, entropy_sum,
+                           golden_section_search, snapshot_outcomes,
+                           _sweep_uniforms)
 from sbpart.generator import (GeneratorConfig, emit_streaming_stages,
                               generate, generate_edges,
                               sample_bounded_powerlaw,
@@ -26,11 +26,12 @@ from sbpart.metrics import build_contingency, correctness_report, \
     information_metrics, overall_accuracy, pairwise_metrics
 from sbpart.streaming import run_stream
 
+from batch_reference import batch_outcomes
 from conftest import random_graph, random_partition
 
 
 def _report(num, ok, detail):
-    line = f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} — {detail}"
+    line = f"criterion {num:>2}: {'PASS' if ok else 'FAIL'} — {detail}"
     import conftest
     conftest.ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
@@ -141,7 +142,7 @@ def test_criterion_3_incremental_matrix():
             s = int(rng.integers(p.num_blocks))
             if s == r:
                 continue
-            counts = node_block_edge_counts(g, p, i)
+            counts = node_block_edge_counts(g, p.assignment, i)
             apply_move(state, i, r, s, counts)
             p.assignment[i] = s
             moves += 1
@@ -167,7 +168,7 @@ def test_criterion_4_restricted_delta():
         s = int(rng.integers(p.num_blocks))
         if s == r:
             continue
-        counts = node_block_edge_counts(g, p, i)
+        counts = node_block_edge_counts(g, p.assignment, i)
         after = before.copy()
         apply_move(after, i, r, s, counts)
         restricted = delta_log_posterior(before, after, r, s)
@@ -246,6 +247,22 @@ def test_criterion_8_streaming_consistency(desk_graphs, sequential_runs):
     ok = abs(rel) <= 0.01 and stages_reported == 10 and have_correctness
     _report(8, ok, f"final H {session.last_H:.1f} vs cold {cold_H:.1f} "
             f"(gap {rel * 100:+.2f}%), {stages_reported}/10 stage reports")
+
+
+def test_criterion_8b_snowball_streaming(desk_graphs, sequential_runs):
+    """Criterion 8 with snowball stages, whose warm starts begin far from
+    the final B: the stream must still end at the planted B and cold H."""
+    gen = desk_graphs[0]
+    cold_H = sequential_runs[0]["H"]
+    sched = emit_streaming_stages(gen, "snowball", 10, rng_seed=0)
+    session = run_stream(sched.stages, config=MCMCConfig(rng_seed=0),
+                         truth=gen.truth,
+                         generated_mask=gen.generated_node_mask)
+    rel = (session.last_H - cold_H) / cold_H
+    ok = session.last_B == 8 and abs(rel) <= 0.01
+    _report("8b", ok, f"snowball: final B={session.last_B}, H "
+            f"{session.last_H:.1f} vs cold {cold_H:.1f} (gap "
+            f"{rel * 100:+.2f}%)")
 
 
 def test_criterion_9_complexity_trend():

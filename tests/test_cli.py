@@ -246,6 +246,35 @@ def test_exit_code_data_error(tmp_path):
     assert rc == 2
 
 
+def test_exit_code_config_error(tmp_path, capsys):
+    """A flag value that the engine or generator config rejects is a usage
+    error, and it is reported before any input file is read."""
+    edge_file = str(tmp_path / "cliques.tsv")
+    write_two_cliques(edge_file)
+    runs = [["partition", edge_file, "-o", str(tmp_path / "x"),
+             "--beta", "-1"],
+            ["partition", edge_file, "-o", str(tmp_path / "x"),
+             "--workers", "0"],
+            ["partition", str(tmp_path / "missing.tsv"), "-o",
+             str(tmp_path / "y"), "--beta", "-1"],
+            ["generate", "-N", "10", "-B", "20", "--edges", "50",
+             "-o", str(tmp_path / "g")]]
+    for argv in runs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    assert "beta must be positive" in capsys.readouterr().err
+
+
+def test_exit_code_data_value_error(tmp_path):
+    """A ValueError raised by the input data stays a data error."""
+    mask_file = tmp_path / "mask.tsv"
+    mask_file.write_text("".join(f"{i}\t0\n" for i in range(1, 57)))
+    rc = main(["evaluate", "--truth", TABLE1_TRUTH,
+               "--partition", TABLE1_OUTPUT, "--mask", str(mask_file)])
+    assert rc == 2
+
+
 def test_manifest_reproduces_run(tmp_path):
     out = str(tmp_path / "g1")
     args = ["generate", "-N", "40", "-B", "2", "--edges", "100",

@@ -1,10 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from sbpart.engine import (MCMCConfig, batch_outcomes, delta_log_posterior,
+from sbpart.engine import (MCMCConfig, delta_log_posterior,
                            description_length, entropy_sum,
                            golden_section_search, hastings_correction,
                            mcmc_sweep, merge_blocks, merge_delta_S,
@@ -14,6 +15,7 @@ from sbpart.engine import (MCMCConfig, batch_outcomes, delta_log_posterior,
 from sbpart.graph import (BlockModelState, Partition, apply_move, build_graph,
                           node_block_edge_counts, recompute_block_matrix)
 
+from batch_reference import batch_outcomes
 from conftest import random_graph, random_partition
 
 
@@ -68,7 +70,7 @@ def test_delta_log_posterior_three_cycle():
     g = three_cycle()
     p = Partition([0, 0, 1])
     before = recompute_block_matrix(g, p)
-    counts = node_block_edge_counts(g, p, 2)
+    counts = node_block_edge_counts(g, p.assignment, 2)
     after = before.copy()
     apply_move(after, 2, 1, 0, counts)
     restricted = delta_log_posterior(before, after, 1, 0)
@@ -82,7 +84,7 @@ def test_delta_log_posterior_noop_move_is_zero():
     g = build_graph([(0, 1, 1)], num_nodes=4)
     p = Partition([0, 1, 2, 2])
     before = recompute_block_matrix(g, p)
-    counts = node_block_edge_counts(g, p, 3)   # isolated node
+    counts = node_block_edge_counts(g, p.assignment, 3)   # isolated node
     after = before.copy()
     apply_move(after, 3, 2, 1, counts)
     assert delta_log_posterior(before, after, 2, 1) == pytest.approx(0.0,
@@ -102,7 +104,7 @@ def test_restricted_delta_matches_full_on_random_moves():
         s = int(rng.integers(p.num_blocks))
         if s == r:
             continue
-        counts = node_block_edge_counts(g, p, i)
+        counts = node_block_edge_counts(g, p.assignment, i)
         after = before.copy()
         apply_move(after, i, r, s, counts)
         restricted = delta_log_posterior(before, after, r, s)
@@ -152,8 +154,7 @@ def test_hastings_symmetric_state():
                             [{0: 2, 1: 1}, {0: 1, 1: 2}],
                             np.array([3, 3]), np.array([3, 3]))
     counts = node_block_edge_counts(
-        build_graph([(0, 1, 1), (2, 0, 1)], num_nodes=3),
-        Partition([1, 0, 1]), 0)
+        build_graph([(0, 1, 1), (2, 0, 1)], num_nodes=3), [1, 0, 1], 0)
     assert counts.combined == {0: 1, 1: 1}
     pf, pb = hastings_correction(0, counts, state, state, 0, 1, 2)
     # t=0: (1+1+1)/8, t=1: (2+2+1)/8 -> pf = 1; mirrored for pb
@@ -166,7 +167,7 @@ def test_hastings_empty_counts():
                             np.zeros(2, dtype=np.int64),
                             np.zeros(2, dtype=np.int64))
     counts = node_block_edge_counts(build_graph([(0, 1, 1)], num_nodes=3),
-                                    Partition([0, 0, 1]), 2)
+                                    [0, 0, 1], 2)
     pf, pb = hastings_correction(2, counts, state, state, 1, 0, 2)
     assert pf == 0.0 and pb == 0.0
 
@@ -188,13 +189,13 @@ def test_hastings_reverse_consistency():
             continue
         B = p.num_blocks
         before = recompute_block_matrix(g, p)
-        counts = node_block_edge_counts(g, p, i)
+        counts = node_block_edge_counts(g, p.assignment, i)
         after = before.copy()
         apply_move(after, i, r, s, counts)
         pf, pb = hastings_correction(i, counts, before, after, r, s, B)
         p2 = p.copy()
         p2.assignment[i] = s
-        counts_rev = node_block_edge_counts(g, p2, i)
+        counts_rev = node_block_edge_counts(g, p2.assignment, i)
         pf_rev, pb_rev = hastings_correction(i, counts_rev, after, before,
                                              s, r, B)
         assert pf_rev == pytest.approx(pb, abs=1e-12)
@@ -279,6 +280,25 @@ def test_sweep_state_consistency(mode):
         assert np.array_equal(state.to_dense(), fresh.to_dense())
         assert h == pytest.approx(
             description_length(fresh, g.num_nodes, g.total_edge_weight))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_snapshot_sweep_worker_processes_agree():
+    """Splitting the snapshot sweep over worker processes changes nothing."""
+    rng = np.random.default_rng(61)
+    g = random_graph(rng, max_nodes=60, min_nodes=40)
+    start = random_partition(rng, g.num_nodes)
+    runs = []
+    for workers in (1, 2):
+        config = MCMCConfig(execution_mode="parallel-snapshot", rng_seed=13,
+                            workers=workers)
+        p = start.copy()
+        p, _, h, accepted = mcmc_sweep(g, p, recompute_block_matrix(g, p),
+                                       config, sweep_index=0)
+        runs.append((p.assignment, h, accepted))
+    (a1, h1, n1), (a2, h2, n2) = runs
+    assert n1 > 0
+    assert np.array_equal(a1, a2) and h1 == h2 and n1 == n2
 
 
 def test_snapshot_equals_batch_outcomes():
@@ -477,6 +497,11 @@ def test_config_validation():
         MCMCConfig(execution_mode="turbo")
     with pytest.raises(ValueError):
         MCMCConfig(max_sweeps=0)
+    # a config only records the worker count; building one starts no process
+    for workers in (0, -1, (os.cpu_count() or 1) + 1, 10**6):
+        with pytest.raises(ValueError):
+            MCMCConfig(workers=workers)
+    assert MCMCConfig(workers=os.cpu_count() or 1).workers >= 1
 
 
 def test_run_mcmc_converges_flag():

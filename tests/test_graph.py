@@ -73,7 +73,7 @@ def test_recompute_three_cycle_two_blocks():
 def test_node_block_edge_counts_examples():
     g = three_cycle()
     p = Partition([0, 0, 1])
-    c = node_block_edge_counts(g, p, 0)
+    c = node_block_edge_counts(g, p.assignment, 0)
     assert c.out_counts == {0: 1}
     assert c.in_counts == {1: 1}
     assert c.combined == {0: 1, 1: 1}
@@ -82,7 +82,7 @@ def test_node_block_edge_counts_examples():
 
 def test_node_block_edge_counts_isolated():
     g = build_graph([(0, 1, 1)], num_nodes=3)
-    c = node_block_edge_counts(g, Partition([0, 0, 0], 1), 2)
+    c = node_block_edge_counts(g, [0, 0, 0], 2)
     assert c.out_counts == {}
     assert c.in_counts == {}
     assert c.combined == {}
@@ -90,7 +90,7 @@ def test_node_block_edge_counts_isolated():
 
 def test_node_block_edge_counts_self_loop():
     g = build_graph([(0, 0, 2), (0, 1, 1)])
-    c = node_block_edge_counts(g, Partition([0, 1]), 0)
+    c = node_block_edge_counts(g, [0, 1], 0)
     # the self-loop shows up in both direction maps, hence twice in combined
     assert c.out_counts == {0: 2, 1: 1}
     assert c.in_counts == {0: 2}
@@ -102,7 +102,7 @@ def test_apply_move_single_edge():
     g = build_graph([(0, 1, 1)])
     p = Partition([0, 1])
     state = recompute_block_matrix(g, p)
-    counts = node_block_edge_counts(g, p, 1)
+    counts = node_block_edge_counts(g, p.assignment, 1)
     apply_move(state, 1, 1, 0, counts)
     assert state.to_dense().tolist() == [[1, 0], [0, 0]]
     assert list(state.d_out) == [1, 0]
@@ -113,7 +113,7 @@ def test_apply_move_rejects_noop():
     g = build_graph([(0, 1, 1)])
     p = Partition([0, 1])
     state = recompute_block_matrix(g, p)
-    counts = node_block_edge_counts(g, p, 0)
+    counts = node_block_edge_counts(g, p.assignment, 0)
     with pytest.raises(ValueError):
         apply_move(state, 0, 0, 0, counts)
 
@@ -122,7 +122,7 @@ def test_apply_move_three_cycle_collapse():
     g = three_cycle()
     p = Partition([0, 0, 1])
     state = recompute_block_matrix(g, p)
-    counts = node_block_edge_counts(g, p, 2)
+    counts = node_block_edge_counts(g, p.assignment, 2)
     apply_move(state, 2, 1, 0, counts)
     assert state.to_dense().tolist() == [[3, 0], [0, 0]]
 
@@ -150,7 +150,7 @@ def test_random_moves_match_recompute():
             s = int(rng.integers(p.num_blocks))
             if s == r:
                 continue
-            counts = node_block_edge_counts(g, p, i)
+            counts = node_block_edge_counts(g, p.assignment, i)
             apply_move(state, i, r, s, counts)
             p.assignment[i] = s
             moves_done += 1
