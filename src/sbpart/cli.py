@@ -76,7 +76,7 @@ def cmd_generate(args):
         target_total_edges=args.edges, overlap_ratio=args.overlap,
         uniform_degrees=args.uniform_degrees, rng_seed=args.seed)
     gen = generate(cfg)
-    edges = sorted(gen.graph.edge_list())
+    edges = gen.graph.edge_list()
     out = args.output
     outputs = [f"{out}.tsv", f"{out}_truth.tsv"]
     write_edge_tsv(f"{out}.tsv", edges)

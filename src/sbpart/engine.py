@@ -110,39 +110,6 @@ def description_length(state, num_nodes, total_edge_weight):
     return (E * _h(B * B / E) + num_nodes * math.log(B) - entropy_sum(state))
 
 
-def _window_entropy(row_r, row_s, col_r, col_s, r, s,
-                    dor, dos, dir_, dis, d_out, d_in):
-    """Entropy restricted to rows r, s and columns r, s (each entry once)."""
-    log = math.log
-    tot = 0.0
-    for row, do in ((row_r, dor), (row_s, dos)):
-        if do > 0:
-            for t, w in row.items():
-                if w > 0:
-                    dt = dir_ if t == r else dis if t == s else d_in[t]
-                    tot += w * log(w / (do * dt))
-    for col, di in ((col_r, dir_), (col_s, dis)):
-        if di > 0:
-            for t, w in col.items():
-                if t != r and t != s and w > 0:
-                    tot += w * log(w / (d_out[t] * di))
-    return tot
-
-
-def _state_window_entropy(state, r, s):
-    return _window_entropy(state.rows[r], state.rows[s],
-                           state.cols[r], state.cols[s], r, s,
-                           state.d_out[r], state.d_out[s],
-                           state.d_in[r], state.d_in[s],
-                           state.d_out, state.d_in)
-
-
-def delta_log_posterior(before, after, r, s):
-    """Change in log posterior for one move r -> s, from the affected
-    rows/columns of the two states. Equals the full entropy difference."""
-    return _state_window_entropy(before, r, s) - _state_window_entropy(after, r, s)
-
-
 def _sweep_uniforms(seed, sweep_index, num_nodes):
     """Counter-based uniform draws, 4 per node, replayable across modes."""
     bitgen = np.random.Philox(key=int(seed) & (2**64 - 1),
@@ -173,27 +140,6 @@ def _propose(graph, assignment, state, B, i, u_edge, u_coin, u_prop):
         if c > thresh:
             return t
     return t
-
-
-def propose_block(i, partition, state, graph, rng):
-    """Draw a block proposal for node i per the nodal-update proposal rule."""
-    u = rng.random(3)
-    return _propose(graph, partition.assignment, state, state.num_blocks,
-                    i, u[0], u[1], u[2])
-
-
-def hastings_correction(i, counts, state_before, state_after, r, s, B):
-    """Forward/backward proposal probabilities for the move r -> s of node i."""
-    pf = 0.0
-    pb = 0.0
-    rows_b, cols_b = state_before.rows, state_before.cols
-    rows_a, cols_a = state_after.rows, state_after.cols
-    for t, k in counts.combined.items():
-        pf += k * (cols_b[s].get(t, 0) + rows_b[s].get(t, 0) + 1) \
-            / (int(state_before.d[t]) + B)
-        pb += k * (cols_a[r].get(t, 0) + rows_a[r].get(t, 0) + 1) \
-            / (int(state_after.d[t]) + B)
-    return pf, pb
 
 
 def _evaluate(graph, assignment, state, B, beta, i,
@@ -256,21 +202,6 @@ def _evaluate(graph, assignment, state, B, beta, i,
     accepted = bool(u_accept <= p_accept)
     outcome = ProposalOutcome(i, r, s, dS, pf, pb, p_accept, accepted)
     return outcome, ((delta, ki_out, ki_in) if accepted else None)
-
-
-def nodal_update(i, partition, state, graph, config, rng):
-    """Metropolis-Hastings update of node i's block assignment (in place)."""
-    r = int(partition.assignment[i])
-    if graph.degree[i] == 0:
-        return ProposalOutcome(i, r, r, 0.0, 0.0, 0.0, 0.0, False)
-    u = rng.random(4)
-    outcome, commit = _evaluate(graph, partition.assignment, state,
-                                state.num_blocks, config.beta, i,
-                                u[0], u[1], u[2], u[3])
-    if commit is not None:
-        apply_delta(state, r, outcome.proposed_block, *commit)
-        partition.assignment[i] = outcome.proposed_block
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -726,40 +657,25 @@ def golden_section_search(graph, config, initial_partition=None):
 # ---------------------------------------------------------------------------
 # warm starts for streaming
 
-def warm_start(previous, graph_now, carried=None):
+def warm_start(previous, graph_now):
     """Carry a previous partition onto a grown graph.
 
-    carried[k] is the node in graph_now holding previous.assignment[k]
-    (default: the first len(previous) nodes). Carried nodes keep their
-    blocks; each new node, in id order, takes the block of its
-    highest-weight already-assigned neighbor (lowest id wins ties), or a
-    fresh singleton block if it has none.
+    The first len(previous) nodes keep their blocks; each new node, in id
+    order, takes the block of its highest-weight already-assigned neighbor
+    (lowest id wins ties), or a fresh singleton block if it has none.
     """
     n_prev = len(previous.assignment)
     N = graph_now.num_nodes
     if n_prev > N:
         raise ValueError("previous partition covers more nodes than the graph")
-    if carried is None:
-        carried = np.arange(n_prev)
     a = np.full(N, -1, dtype=np.int64)
-    a[np.asarray(carried, dtype=np.int64)] = previous.assignment
+    a[:n_prev] = previous.assignment
     next_block = previous.num_blocks
-    for i in range(N):
-        if a[i] >= 0:
-            continue
-        comb = {}
-        for j, w in graph_now.out_adj[i].items():
-            comb[j] = comb.get(j, 0) + w
-        for j, w in graph_now.in_adj[i].items():
-            comb[j] = comb.get(j, 0) + w
-        best_j = -1
-        best_w = 0
-        for j in sorted(comb):
-            if j != i and a[j] >= 0 and comb[j] > best_w:
-                best_j = j
-                best_w = comb[j]
-        if best_j >= 0:
-            a[i] = a[best_j]
+    for i in range(n_prev, N):
+        assigned = [(-(w_out + w_in), j) for j, w_out, w_in
+                    in graph_now.neighbors(i) if j != i and a[j] >= 0]
+        if assigned:
+            a[i] = a[min(assigned)[1]]
         else:
             a[i] = next_block
             next_block += 1

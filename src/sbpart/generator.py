@@ -148,7 +148,7 @@ def generate_edges(config, truth, theta, rng=None):
         raise ValueError("interaction matrix shape must be B x B")
     members = [np.flatnonzero(truth.assignment == r) for r in range(B)]
     probs = [theta[m] for m in members]
-    edges = {}
+    pairs = [np.empty((0, 2), dtype=np.int64)]
     for r in range(B):
         for s in range(B):
             lam = omega[r, s]
@@ -159,10 +159,8 @@ def generate_edges(config, truth, theta, rng=None):
                 continue
             src = rng.choice(members[r], size=m, p=probs[r])
             dst = rng.choice(members[s], size=m, p=probs[s])
-            for i, j in zip(src.tolist(), dst.tolist()):
-                edges[(i, j)] = edges.get((i, j), 0) + 1
-    graph = build_graph([(i, j, w) for (i, j), w in edges.items()],
-                        num_nodes=config.num_nodes)
+            pairs.append(np.column_stack((src, dst)))
+    graph = build_graph(np.concatenate(pairs), num_nodes=config.num_nodes)
     mask = np.ones(config.num_nodes, dtype=bool)
     return GeneratedGraph(graph, truth, mask)
 
@@ -220,7 +218,7 @@ def emit_streaming_stages(generated, mode, num_stages, rng_seed=0):
     internal to the frontier, and the final stage sweeps everything left.
     """
     graph = generated.graph
-    edges = sorted(graph.edge_list())
+    edges = graph.edge_list()
     E = len(edges)
     if num_stages < 1:
         raise ValueError("num_stages must be at least 1")
@@ -247,14 +245,14 @@ def emit_streaming_stages(generated, mode, num_stages, rng_seed=0):
             visited[seed] = True
         node = queue.pop(0)
         visit_order.append(node)
-        nbrs = sorted(set(graph.out_adj[node]) | set(graph.in_adj[node]))
-        for j in nbrs:
+        for j, _, _ in sorted(graph.neighbors(node)):
             if not visited[j]:
                 visited[j] = True
                 queue.append(j)
 
+    # a node entering the frontier emits its edges to nodes already inside:
+    # out-edges by target id, then in-edges by source id
     inside = np.zeros(n, dtype=bool)
-    emitted = set()
     batches = []
     pos = 0
     target_w = graph.total_edge_weight
@@ -266,17 +264,16 @@ def emit_streaming_stages(generated, mode, num_stages, rng_seed=0):
             node = visit_order[pos]
             pos += 1
             inside[node] = True
-            for j, w in graph.out_adj[node].items():
-                if inside[j] and (node, j) not in emitted:
-                    emitted.add((node, j))
+            nbrs = sorted(graph.neighbors(node))
+            for j, w, _ in nbrs:
+                if w and inside[j]:
                     batch.append((node, j, w))
                     emitted_w += w
-            for j, w in graph.in_adj[node].items():
-                if inside[j] and j != node and (j, node) not in emitted:
-                    emitted.add((j, node))
+            for j, _, w in nbrs:
+                if w and inside[j] and j != node:
                     batch.append((j, node, w))
                     emitted_w += w
         batches.append(batch)
-    final = [(i, j, w) for i, j, w in edges if (i, j) not in emitted]
+    final = [(i, j, w) for i, j, w in edges if not (inside[i] and inside[j])]
     batches.append(final)
     return StreamSchedule("snowball", batches)

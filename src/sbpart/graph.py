@@ -13,50 +13,50 @@ import numpy as np
 
 
 class Graph:
-    """Immutable directed multigraph over dense integer node ids.
+    """Immutable directed multigraph over dense integer node ids: one
+    neighbour table, filled by `build_graph`.
 
-    Parallel edges are merged into integer weights at construction. A
-    self-loop of weight w counts w toward both the in- and the out-degree
-    of its node (so 2w toward the total degree).
+    Node i's neighbours nbr[ptr[i]:ptr[i+1]] are its out-neighbours by id,
+    then its remaining in-neighbours by id; w_out and w_in hold the weights
+    of i -> j and j -> i (0 when absent), and cumw their running sum within
+    the row. A self-loop of weight w (w_out == w_in == w) counts w toward
+    both the in- and the out-degree of its node (2w toward the total).
     """
 
-    __slots__ = ("num_nodes", "out_adj", "in_adj", "total_edge_weight",
-                 "degree", "_nbr_ids", "_nbr_cumw")
+    __slots__ = ("num_nodes", "ptr", "nbr", "w_out", "w_in", "cumw",
+                 "degree", "total_edge_weight")
 
-    def __init__(self, num_nodes, out_adj, in_adj):
+    def __init__(self, num_nodes, ptr, nbr, w_out, w_in):
         self.num_nodes = num_nodes
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self.total_edge_weight = sum(w for nbrs in out_adj for w in nbrs.values())
-        deg = np.zeros(num_nodes, dtype=np.int64)
-        for i in range(num_nodes):
-            deg[i] = sum(out_adj[i].values()) + sum(in_adj[i].values())
-        self.degree = deg
-        self._nbr_ids = None
-        self._nbr_cumw = None
+        self.ptr, self.nbr, self.w_out, self.w_in = ptr, nbr, w_out, w_in
+        run = np.concatenate(([0], np.cumsum(w_out + w_in)))
+        start = run[ptr[:-1]]
+        self.degree = run[ptr[1:]] - start
+        self.cumw = run[1:] - np.repeat(start, np.diff(ptr))
+        self.total_edge_weight = int(w_out.sum())
+
+    def neighbors(self, i):
+        """(j, weight of i -> j, weight of j -> i) per neighbour j of i, in
+        table order."""
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        return zip(self.nbr[lo:hi].tolist(), self.w_out[lo:hi].tolist(),
+                   self.w_in[lo:hi].tolist())
+
+    def _edge_arrays(self):
+        """Source, target and weight arrays, sorted by (source, target)."""
+        out = self.w_out > 0
+        src = np.repeat(np.arange(self.num_nodes), np.diff(self.ptr))
+        return src[out], self.nbr[out], self.w_out[out]
 
     def edge_list(self):
-        """All (source, target, weight) triples, one per merged edge."""
-        return [(i, j, w) for i in range(self.num_nodes)
-                for j, w in self.out_adj[i].items()]
+        """(source, target, weight) per edge, sorted by (source, target)."""
+        return list(zip(*(a.tolist() for a in self._edge_arrays())))
 
     def self_loop_weight(self, i):
-        return self.out_adj[i].get(i, 0)
-
-    def _neighbor_tables(self):
-        if self._nbr_ids is None:
-            ids, cumw = [], []
-            for i in range(self.num_nodes):
-                comb = dict(self.out_adj[i])
-                for j, w in self.in_adj[i].items():
-                    comb[j] = comb.get(j, 0) + w
-                js = np.fromiter(comb.keys(), dtype=np.int64, count=len(comb))
-                ws = np.fromiter(comb.values(), dtype=np.int64, count=len(comb))
-                ids.append(js)
-                cumw.append(np.cumsum(ws))
-            self._nbr_ids = ids
-            self._nbr_cumw = cumw
-        return self._nbr_ids, self._nbr_cumw
+        for j, w, _ in self.neighbors(i):
+            if j == i:
+                return w
+        return 0
 
     def draw_neighbor(self, i, u):
         """Pick a neighbor of i proportional to combined edge weight.
@@ -64,50 +64,53 @@ class Graph:
         u is a uniform variate in [0, 1); a self-loop of weight w is drawn
         with probability 2w / k_i (it contributes one edge per direction).
         """
-        ids, cumw = self._neighbor_tables()
-        c = cumw[i]
-        if len(c) == 0:
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        if lo == hi:
             raise ValueError(f"node {i} has no edges to draw from")
+        c = self.cumw[lo:hi]
         idx = np.searchsorted(c, u * c[-1], side="right")
-        return int(ids[i][min(idx, len(c) - 1)])
+        return int(self.nbr[lo + min(idx, hi - lo - 1)])
 
 
 def build_graph(edge_list, num_nodes=None):
-    """Build a Graph from (source, target, weight) triples.
+    """Build a Graph from (source, target[, weight]) rows, given as a list
+    of tuples or as an (E, 2) or (E, 3) integer array; a missing weight is 1.
 
-    Duplicate (i, j) entries are summed into one weighted edge. Node count is
-    inferred as max id + 1 unless given.
+    This is the one place where duplicate (i, j) entries are summed into
+    one weighted edge. Node count is inferred as max id + 1 unless given.
     """
-    merged = {}
-    max_id = -1
-    for edge in edge_list:
-        if len(edge) == 2:
-            s, t = edge
-            w = 1
-        else:
-            s, t, w = edge
-        s, t, w = int(s), int(t), int(w)
-        if s < 0 or t < 0:
-            raise ValueError(f"negative node id in edge ({s}, {t})")
-        if w < 1:
-            raise ValueError(f"edge ({s}, {t}) has non-positive weight {w}")
-        merged[(s, t)] = merged.get((s, t), 0) + w
-        if s > max_id:
-            max_id = s
-        if t > max_id:
-            max_id = t
+    if not isinstance(edge_list, np.ndarray):
+        rows = [e if len(e) == 3 else (*e, 1) for e in edge_list]
+        edge_list = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    e = edge_list.astype(np.int64, copy=False)
+    src, dst = e[:, 0], e[:, 1]
+    w = e[:, 2] if e.shape[1] == 3 else np.ones(len(e), dtype=np.int64)
+    bad = np.flatnonzero((src < 0) | (dst < 0) | (w < 1))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"edge ({src[k]}, {dst[k]}, {w[k]}): node ids must "
+                         f"be >= 0 and weights >= 1")
+    max_id = int(max(src.max(initial=-1), dst.max(initial=-1)))
     n = max_id + 1 if num_nodes is None else int(num_nodes)
     if max_id >= n:
         raise ValueError(f"node id {max_id} out of range for num_nodes={n}")
-    out_adj = [dict() for _ in range(n)]
-    in_adj = [dict() for _ in range(n)]
-    # canonical (sorted) insertion order, so identical edge sets yield
-    # identical iteration order regardless of input order
-    for (s, t) in sorted(merged):
-        w = merged[(s, t)]
-        out_adj[s][t] = w
-        in_adj[t][s] = w
-    return Graph(n, out_adj, in_adj)
+    # bincount sums in float64, which is exact below 2**53
+    edge, inv = np.unique(src * n + dst, return_inverse=True)
+    w = np.bincount(inv, weights=w, minlength=len(edge)).astype(np.int64)
+    src, dst = edge // n, edge % n
+    # edge i -> j is an out-entry of row i and an in-entry of row j; the
+    # two opposite edges of a pair share one entry in each row
+    cell, inv = np.unique(np.concatenate((src, dst)) * n
+                          + np.concatenate((dst, src)), return_inverse=True)
+    w_out = np.zeros(len(cell), dtype=np.int64)
+    w_in = np.zeros(len(cell), dtype=np.int64)
+    w_out[inv[:len(edge)]] = w
+    w_in[inv[len(edge):]] = w
+    row, nbr = cell // n, cell % n
+    order = np.lexsort((nbr, w_out == 0, row))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return Graph(n, ptr, nbr[order], w_out[order], w_in[order])
 
 
 class Partition:
@@ -191,40 +194,53 @@ class NodeBlockEdgeCounts:
 
 def node_block_edge_counts(graph, assignment, i):
     """Edge weight between node i and each block of the labelling
-    `assignment` (an array of block ids indexed by node)."""
+    `assignment` (an array of block ids indexed by node). Every map lists
+    its blocks in the order first reached by walking the out-neighbours by
+    id, then the in-neighbours by id; the sweep's float sums follow it."""
+    lo, hi = graph.ptr[i], graph.ptr[i + 1]
+    nbr = graph.nbr[lo:hi]
     out_c, in_c, comb = {}, {}, {}
-    for j, w in graph.out_adj[i].items():
-        t = int(assignment[j])
-        out_c[t] = out_c.get(t, 0) + w
-        comb[t] = comb.get(t, 0) + w
-    for j, w in graph.in_adj[i].items():
-        t = int(assignment[j])
-        in_c[t] = in_c.get(t, 0) + w
-        comb[t] = comb.get(t, 0) + w
-    return NodeBlockEdgeCounts(out_c, in_c, comb, graph.out_adj[i].get(i, 0))
+    ins = []
+    w_self = 0
+    blocks = np.asarray(assignment)[nbr].tolist()
+    for j, t, wo, wi in zip(nbr.tolist(), blocks, graph.w_out[lo:hi].tolist(),
+                            graph.w_in[lo:hi].tolist()):
+        if wo:
+            out_c[t] = out_c.get(t, 0) + wo
+        if wi:
+            ins.append((j, t, wi))
+        comb[t] = comb.get(t, 0) + wo + wi
+        if j == i:
+            w_self = wo
+    ins.sort()
+    for _, t, wi in ins:
+        in_c[t] = in_c.get(t, 0) + wi
+    return NodeBlockEdgeCounts(out_c, in_c, comb, w_self)
 
 
 def recompute_block_matrix(graph, partition):
-    """Full M = Gamma^T A Gamma recomputation with degree vectors."""
+    """Full M = Gamma^T A Gamma recomputation with degree vectors. Row r
+    lists its blocks as the (source, target)-sorted edges first reach them,
+    and column s by id."""
     if len(partition.assignment) != graph.num_nodes:
         raise ValueError("partition length does not match graph")
     B = partition.num_blocks
     b = partition.assignment
+    src, dst, w = graph._edge_arrays()
+    cell, first, inv = np.unique(b[src] * B + b[dst], return_index=True,
+                                 return_inverse=True)
+    m = np.bincount(inv, weights=w, minlength=len(cell)).astype(np.int64)
+    r, s = cell // B, cell % B
     rows = [dict() for _ in range(B)]
     cols = [dict() for _ in range(B)]
-    for i in range(graph.num_nodes):
-        r = int(b[i])
-        row_r = rows[r]
-        for j, w in graph.out_adj[i].items():
-            s = int(b[j])
-            row_r[s] = row_r.get(s, 0) + w
-    d_out = np.zeros(B, dtype=np.int64)
-    d_in = np.zeros(B, dtype=np.int64)
-    for r, row in enumerate(rows):
-        for s, w in row.items():
-            cols[s][r] = w
-            d_out[r] += w
-            d_in[s] += w
+    by_first = np.argsort(first)
+    for t1, t2, x in zip(r[by_first].tolist(), s[by_first].tolist(),
+                         m[by_first].tolist()):
+        rows[t1][t2] = x
+    for t1, t2, x in zip(r.tolist(), s.tolist(), m.tolist()):
+        cols[t2][t1] = x
+    d_out = np.bincount(r, weights=m, minlength=B).astype(np.int64)
+    d_in = np.bincount(s, weights=m, minlength=B).astype(np.int64)
     return BlockModelState(rows, cols, d_out, d_in)
 
 

@@ -18,8 +18,14 @@ class DataError(ValueError):
     """Malformed input data (CLI exit code 2)."""
 
 
-def read_edge_tsv(path):
-    edges = []
+def _int_rows(path, widths):
+    """(line number, integer fields) per data line of a TSV file.
+
+    Blank lines and `#` comments are skipped; fields split on tabs, or on
+    any whitespace when a line has no tab. A line whose column count is not
+    in `widths`, or that has a non-integer field, raises a DataError that
+    names path:line.
+    """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -28,20 +34,26 @@ def read_edge_tsv(path):
             parts = line.split("\t")
             if len(parts) == 1:
                 parts = line.split()
-            if len(parts) not in (2, 3):
-                raise DataError(f"{path}:{lineno}: expected 2 or 3 columns, "
+            if len(parts) not in widths:
+                raise DataError(f"{path}:{lineno}: expected "
+                                f"{' or '.join(map(str, widths))} columns, "
                                 f"got {len(parts)}")
             try:
-                s = int(parts[0])
-                t = int(parts[1])
-                w = int(parts[2]) if len(parts) == 3 else 1
+                fields = [int(p) for p in parts]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-integer field ({exc})")
-            if s < 1 or t < 1:
-                raise DataError(f"{path}:{lineno}: node ids are 1-based")
-            if w < 1:
-                raise DataError(f"{path}:{lineno}: weight must be >= 1")
-            edges.append((s - 1, t - 1, w))
+            yield lineno, fields
+
+
+def read_edge_tsv(path):
+    edges = []
+    for lineno, (s, t, *w) in _int_rows(path, (2, 3)):
+        w = w[0] if w else 1
+        if s < 1 or t < 1:
+            raise DataError(f"{path}:{lineno}: node ids are 1-based")
+        if w < 1:
+            raise DataError(f"{path}:{lineno}: weight must be >= 1")
+        edges.append((s - 1, t - 1, w))
     return edges
 
 
@@ -54,24 +66,10 @@ def write_edge_tsv(path, edges):
 def read_assignment_tsv(path, num_nodes=None):
     """node<TAB>block file into a dense 0-based assignment list."""
     pairs = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                node = int(parts[0])
-                block = int(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer field ({exc})")
-            if node < 1 or block < 1:
-                raise DataError(f"{path}:{lineno}: ids are 1-based")
-            pairs[node - 1] = block - 1
+    for lineno, (node, block) in _int_rows(path, (2,)):
+        if node < 1 or block < 1:
+            raise DataError(f"{path}:{lineno}: ids are 1-based")
+        pairs[node - 1] = block - 1
     if not pairs:
         raise DataError(f"{path}: empty assignment file")
     n = num_nodes if num_nodes is not None else max(pairs) + 1
@@ -92,18 +90,10 @@ def write_assignment_tsv(path, assignment):
 def read_mask_tsv(path, num_nodes):
     """node<TAB>flag file (flag 0/1) into a boolean list."""
     mask = [False] * num_nodes
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            node = int(parts[0]) - 1
-            if not 0 <= node < num_nodes:
-                raise DataError(f"{path}:{lineno}: node id out of range")
-            mask[node] = bool(int(parts[1]))
+    for lineno, (node, flag) in _int_rows(path, (2,)):
+        if not 1 <= node <= num_nodes:
+            raise DataError(f"{path}:{lineno}: node id out of range")
+        mask[node - 1] = bool(flag)
     return mask
 
 

@@ -17,8 +17,9 @@ class StreamingSession:
 
     Node ids follow the same convention as the offline reader: the node set
     is 0..max-seen-id, with id gaps kept as isolated nodes. A one-stage
-    stream therefore reproduces the non-streaming pipeline exactly. Truth,
-    if given, is indexed by node id and restricted per stage to the
+    stream therefore reproduces the non-streaming pipeline exactly. Truth
+    and the generated-node mask, if given, are indexed by node id and must
+    cover every node the stream reaches; each stage is scored on the
     generated nodes present.
     """
 
@@ -31,11 +32,8 @@ class StreamingSession:
         self.generated_mask = None if generated_mask is None else \
             np.asarray(generated_mask, dtype=bool)
         self.cold_each_stage = cold_each_stage
-        self.external_ids = np.empty(0, dtype=np.int64)  # sorted, internal->ext
-        self.edges = {}               # (external, external) -> weight
         self.graph = None
         self.partition = None
-        self.partition_externals = None   # external ids the partition covers
         self._partitioned_weight = -1     # edge weight at the last partition
         self.stage_index = 0
         self.reports = []
@@ -44,11 +42,7 @@ class StreamingSession:
 
     @property
     def num_nodes(self):
-        return len(self.external_ids)
-
-    @property
-    def total_edge_weight(self):
-        return sum(self.edges.values())
+        return 0 if self.graph is None else self.graph.num_nodes
 
 
 def ingest_stage(session, batch, stage=None):
@@ -56,14 +50,15 @@ def ingest_stage(session, batch, stage=None):
     if stage is not None and stage != session.stage_index + 1:
         raise ValueError(f"out-of-order stage {stage}; expected "
                          f"{session.stage_index + 1}")
-    max_id = len(session.external_ids) - 1
-    for s, t, w in batch:
-        session.edges[(s, t)] = session.edges.get((s, t), 0) + int(w)
-        max_id = max(max_id, int(s), int(t))
-    session.external_ids = np.arange(max_id + 1, dtype=np.int64)
-    session.graph = build_graph(
-        [(s, t, w) for (s, t), w in session.edges.items()],
-        num_nodes=max_id + 1)
+    previous = [] if session.graph is None else session.graph.edge_list()
+    graph = build_graph(previous + list(batch))
+    for name, labels in (("truth", session.truth),
+                         ("generated mask", session.generated_mask)):
+        if labels is not None and len(labels) < graph.num_nodes:
+            raise ValueError(f"{name} covers {len(labels)} nodes, but stage "
+                             f"{session.stage_index + 1} of the stream has "
+                             f"{graph.num_nodes}")
+    session.graph = graph
     session.stage_index += 1
     return session
 
@@ -84,7 +79,7 @@ def partition_stage(session, config=None):
     t0 = time.perf_counter()
     unchanged = (session.partition is not None
                  and not session.cold_each_stage
-                 and len(session.partition_externals) == graph.num_nodes
+                 and len(session.partition) == graph.num_nodes
                  and graph.total_edge_weight == session._partitioned_weight)
     if unchanged:
         # stage added no edges: the previous partition still applies
@@ -96,9 +91,7 @@ def partition_stage(session, config=None):
     if session.partition is None or session.cold_each_stage:
         initial = None
     else:
-        carried = np.searchsorted(session.external_ids,
-                                  session.partition_externals)
-        warm, _ = warm_start(session.partition, graph, carried=carried)
+        warm, _ = warm_start(session.partition, graph)
         split_rng = np.random.default_rng(
             [config.rng_seed, 0x5EED, session.stage_index])
         initial = split_partition(warm, split_rng, factor=2)
@@ -111,7 +104,6 @@ def partition_stage(session, config=None):
 
 def _finish_stage(session, graph, partition, best_B, best_H, elapsed, config):
     session.partition = partition
-    session.partition_externals = session.external_ids.copy()
     session._partitioned_weight = graph.total_edge_weight
     session.last_H = best_H
     session.last_B = best_B
@@ -127,15 +119,12 @@ def _finish_stage(session, graph, partition, best_B, best_H, elapsed, config):
             num_workers=config.workers).to_dict(),
     }
     if session.truth is not None:
-        ext = session.external_ids
-        truth_here = session.truth[ext]
-        if session.generated_mask is not None:
-            mask = session.generated_mask[ext]
-        else:
-            mask = np.ones(len(ext), dtype=bool)
-        if mask.any():
+        n = graph.num_nodes
+        mask = None if session.generated_mask is None \
+            else session.generated_mask[:n]
+        if mask is None or mask.any():
             report["correctness"] = correctness_report(
-                truth_here, partition.assignment, mask).to_dict()
+                session.truth[:n], partition.assignment, mask).to_dict()
     session.reports.append(report)
     return session
 

@@ -35,7 +35,7 @@ def batch_outcomes(graph, assignment, state, config, uniforms):
                        shape=(N, B))
     K_out = np.asarray((A @ gamma).todense(), dtype=np.int64)
     K_in = np.asarray((A.T @ gamma).todense(), dtype=np.int64)
-    selfw = np.fromiter((graph.out_adj[i].get(i, 0) for i in range(N)),
+    selfw = np.fromiter((graph.self_loop_weight(i) for i in range(N)),
                         dtype=np.int64, count=N)
     comb_cum = np.cumsum(M + M.T, axis=1)
 

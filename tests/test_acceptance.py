@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from sbpart.cli import bench_rows
-from sbpart.engine import (MCMCConfig, delta_log_posterior, entropy_sum,
-                           golden_section_search, snapshot_outcomes,
-                           _sweep_uniforms)
+from sbpart.engine import (MCMCConfig, entropy_sum, golden_section_search,
+                           snapshot_outcomes, _sweep_uniforms)
 from sbpart.generator import (GeneratorConfig, emit_streaming_stages,
                               generate, generate_edges,
                               sample_bounded_powerlaw,
@@ -28,6 +27,7 @@ from sbpart.streaming import run_stream
 
 from batch_reference import batch_outcomes
 from conftest import random_graph, random_partition
+from engine_reference import delta_log_posterior
 
 
 def _report(num, ok, detail):

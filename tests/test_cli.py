@@ -275,6 +275,33 @@ def test_exit_code_data_value_error(tmp_path):
     assert rc == 2
 
 
+def test_mask_bad_flag_names_file_and_line(tmp_path, capsys):
+    mask_file = tmp_path / "mask.tsv"
+    mask_file.write_text("1\tyes\n")
+    rc = main(["evaluate", "--truth", TABLE1_TRUTH,
+               "--partition", TABLE1_OUTPUT, "--mask", str(mask_file)])
+    assert rc == 2
+    assert f"{mask_file}:1: non-integer field" in capsys.readouterr().err
+
+
+def test_stream_short_truth_is_data_error(tmp_path, capsys):
+    """A truth file that covers fewer nodes than the stream exits 2 and
+    names both node counts."""
+    out = str(tmp_path / "g1")
+    main(["generate", "-N", "40", "-B", "2", "--edges", "120",
+          "--stages", "3", "--seed", "3", "-o", out])
+    truth = tmp_path / "short_truth.tsv"
+    truth.write_text("".join(f"{i}\t1\n" for i in range(1, 11)))
+    stage1 = read_edge_tsv(f"{out}_stage_1.tsv")
+    n1 = max(max(s, t) for s, t, _ in stage1) + 1
+    rc = main(["stream", out, "--stages", "3", "--truth", str(truth),
+               "--max-sweeps", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "truth covers 10 nodes" in err
+    assert f"stage 1 of the stream has {n1}" in err
+
+
 def test_manifest_reproduces_run(tmp_path):
     out = str(tmp_path / "g1")
     args = ["generate", "-N", "40", "-B", "2", "--edges", "100",

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from sbpart.engine import (MCMCConfig, delta_log_posterior,
-                           description_length, entropy_sum,
-                           golden_section_search, hastings_correction,
-                           mcmc_sweep, merge_blocks, merge_delta_S,
-                           nodal_update, propose_block, run_mcmc,
-                           snapshot_outcomes, split_partition, warm_start,
-                           _sweep_uniforms)
+from sbpart.engine import (MCMCConfig, description_length, entropy_sum,
+                           golden_section_search, mcmc_sweep, merge_blocks,
+                           merge_delta_S, run_mcmc, snapshot_outcomes,
+                           split_partition, warm_start, _sweep_uniforms)
 from sbpart.graph import (BlockModelState, Partition, apply_move, build_graph,
                           node_block_edge_counts, recompute_block_matrix)
 
 from batch_reference import batch_outcomes
 from conftest import random_graph, random_partition
+from engine_reference import (delta_log_posterior, hastings_correction,
+                              nodal_update, propose_block)
 
 
 def directed_clique(nodes, offset=0):
@@ -463,15 +462,14 @@ def test_warm_start_isolated_new_node_gets_fresh_block():
     assert part.num_blocks == 2
 
 
-def test_warm_start_carried_indices():
-    # previous partition covered external nodes that are now ids 0 and 2
-    p = Partition([0, 1])
-    g_new = build_graph([(0, 1, 1), (1, 2, 1)])
-    part, _ = warm_start(p, g_new, carried=np.array([0, 2]))
-    assert part.assignment[0] == 0
+def test_warm_start_tie_goes_to_lowest_id():
+    # new node 2 sits between node 0 (block 1) and node 1 (block 0) with
+    # equal weights; the table lists out-neighbour 1 before in-neighbour 0
+    p = Partition([1, 0])
+    g_new = build_graph([(0, 1, 1), (2, 1, 1), (0, 2, 1)])
+    part, _ = warm_start(p, g_new)
+    assert list(part.assignment[:2]) == [1, 0]
     assert part.assignment[2] == 1
-    # node 1 ties equally to both neighbors; lowest id wins
-    assert part.assignment[1] == 0
 
 
 def test_split_partition_refines():

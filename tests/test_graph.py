@@ -14,14 +14,15 @@ def three_cycle():
 def test_build_single_edge():
     g = build_graph([(0, 1, 1)])
     assert g.num_nodes == 2
-    assert g.out_adj[0] == {1: 1}
-    assert g.in_adj[1] == {0: 1}
+    assert g.edge_list() == [(0, 1, 1)]
+    assert list(g.neighbors(0)) == [(1, 1, 0)]
+    assert list(g.neighbors(1)) == [(0, 0, 1)]
     assert g.total_edge_weight == 1
 
 
 def test_build_merges_duplicates():
     g = build_graph([(0, 1, 1), (0, 1, 2)])
-    assert g.out_adj[0] == {1: 3}
+    assert g.edge_list() == [(0, 1, 3)]
     assert g.total_edge_weight == 3
 
 
@@ -45,9 +46,9 @@ def test_build_canonical_order():
     e2 = [(1, 2, 1), (0, 1, 1), (2, 0, 1)]
     g1 = build_graph(e1)
     g2 = build_graph(e2)
+    assert g1.edge_list() == g2.edge_list() == sorted(e1)
     for i in range(3):
-        assert list(g1.out_adj[i].items()) == list(g2.out_adj[i].items())
-        assert list(g1.in_adj[i].items()) == list(g2.in_adj[i].items())
+        assert list(g1.neighbors(i)) == list(g2.neighbors(i))
 
 
 def test_recompute_single_edge():

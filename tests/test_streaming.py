@@ -142,3 +142,11 @@ def test_cold_each_stage_flag():
     # both strategies land on a valid final partition of the full graph
     assert cold.partition is not None and warm.partition is not None
     assert len(cold.partition) == len(warm.partition) == gen.graph.num_nodes
+
+
+def test_short_generated_mask_rejected():
+    session = StreamingSession(config=small_config(), truth=[0, 0, 1, 1],
+                               generated_mask=[True, True, True])
+    with pytest.raises(ValueError, match="generated mask covers 3 nodes"):
+        ingest_stage(session, [(0, 1, 1), (2, 3, 1)])
+    assert session.graph is None and session.stage_index == 0
