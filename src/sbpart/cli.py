@@ -45,8 +45,10 @@ def _args_dict(args):
 def _engine_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["sequential", "parallel", "batch"],
-                   default="sequential")
-    p.add_argument("--workers", type=int, default=1)
+                   default="sequential",
+                   help="parallel is another name for batch")
+    p.add_argument("--workers", type=int, default=1,
+                   help="recorded in reports only; starts no process")
     p.add_argument("--beta", type=float, default=3.0)
     p.add_argument("--max-sweeps", type=int, default=100)
     p.add_argument("--threshold", type=float, default=1e-4,
@@ -57,8 +59,7 @@ def _engine_flags(p):
 
 
 def _engine_config(args):
-    mode = {"sequential": "sequential", "parallel": "parallel-snapshot",
-            "batch": "batch"}[args.mode]
+    mode = "batch" if args.mode == "parallel" else args.mode
     return _config(MCMCConfig, beta=args.beta, max_sweeps=args.max_sweeps,
                    convergence_threshold=args.threshold,
                    merge_reduction_rate=args.merge_rate,
@@ -178,20 +179,23 @@ def cmd_stream(args):
 
 
 def bench_rows(sizes, config, repeats=1, seed=0, num_blocks=8):
-    """(E, seconds, rate) per requested edge count, median over repeats.
+    """(E, seconds, rate) per requested edge count, median over repeats:
+    one count for every size, or a list with one count per size.
 
     Graphs share a fixed block count and mean degree so that the measured
     trend reflects scaling in E rather than in the model size.
     """
+    if isinstance(repeats, int):
+        repeats = [repeats] * len(sizes)
     rows = []
-    for target_e in sizes:
+    for target_e, count in zip(sizes, repeats):
         n = max(32, target_e // 20)
         gcfg = GeneratorConfig(num_nodes=n, num_blocks=num_blocks,
                                target_total_edges=target_e,
                                overlap_ratio=0.05, rng_seed=seed)
         gen = generate(gcfg)
         times = []
-        for rep in range(repeats):
+        for _ in range(count):
             t0 = time.perf_counter()
             golden_section_search(gen.graph, config)
             times.append(time.perf_counter() - t0)

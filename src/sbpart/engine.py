@@ -21,9 +21,11 @@ from .graph import (
     Partition,
     _bump,
     apply_delta,
+    block_cells,
     move_delta,
     node_block_edge_counts,
     recompute_block_matrix,
+    runs,
 )
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,11 +36,11 @@ class MCMCConfig:
     """Engine settings.
 
     execution_mode picks one of two sweeps: "sequential" is the exact
-    Metropolis-Hastings sweep against the live state; "parallel-snapshot"
-    and its second name "batch" evaluate every node against the state at
-    the start of the sweep and apply the accepted moves at a barrier.
-    workers (1 to the CPU count) is the number of processes the snapshot
-    sweep evaluates nodes in; the sequential sweep ignores it.
+    Metropolis-Hastings sweep against the live state; "batch" evaluates
+    every node against the state at the start of the sweep, in one numpy
+    pass over all nodes, and applies the accepted moves at a barrier.
+    workers (1 to the CPU count) is recorded in the computational reports
+    only: neither sweep starts a process.
     """
     beta: float = 3.0
     max_sweeps: int = 100
@@ -61,7 +63,7 @@ class MCMCConfig:
             raise ValueError("sweep counts must be positive")
         if self.convergence_threshold <= 0:
             raise ValueError("convergence_threshold must be positive")
-        if self.execution_mode not in ("sequential", "parallel-snapshot", "batch"):
+        if self.execution_mode not in ("sequential", "batch"):
             raise ValueError(f"unknown execution mode {self.execution_mode!r}")
         if not 1 <= self.workers <= (os.cpu_count() or 1):
             raise ValueError(f"workers must be between 1 and the CPU count "
@@ -205,42 +207,195 @@ def _evaluate(graph, assignment, state, B, beta, i,
 
 
 # ---------------------------------------------------------------------------
-# snapshot (one-iteration-old) evaluation, optionally across worker processes
+# snapshot (one-iteration-old) sweep: every node in one numpy pass
 
-_WORKER_PAYLOAD = {}
-
-
-def _init_snapshot_worker(payload):
-    _WORKER_PAYLOAD["p"] = payload
-
-
-def _eval_node_chunk(node_ids):
-    graph, assignment, state, B, beta, uniforms = _WORKER_PAYLOAD["p"]
-    out = []
-    for i in node_ids:
-        if graph.degree[i] == 0:
-            continue
-        o, _ = _evaluate(graph, assignment, state, B, beta, i,
-                         uniforms[i, 0], uniforms[i, 1],
-                         uniforms[i, 2], uniforms[i, 3])
-        out.append(o)
-    return out
+# Moving nodes are evaluated in chunks of about this many neighbour-table
+# entries, which bounds the pass's temporaries.
+_CHUNK_ENTRIES = 2048
+# M is read from a dense B * B vector up to this many cells (512 KB), and by
+# binary search over its sorted cell keys above, so that memory stays
+# O(E + nnz M) at large B.
+_DENSE_CELLS = 65536
 
 
-def snapshot_outcomes(graph, assignment, state, config, uniforms):
-    """Evaluate every node against the frozen (assignment, state) snapshot."""
-    B = state.num_blocks
-    if config.workers > 1:
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        payload = (graph, assignment, state, B, config.beta, uniforms)
-        chunks = np.array_split(np.arange(graph.num_nodes), config.workers)
-        with ctx.Pool(config.workers, initializer=_init_snapshot_worker,
-                      initargs=(payload,)) as pool:
-            parts = pool.map(_eval_node_chunk, [c.tolist() for c in chunks])
-        return [o for part in parts for o in part]
-    _init_snapshot_worker((graph, assignment, state, B, config.beta, uniforms))
-    return _eval_node_chunk(range(graph.num_nodes))
+def _xlogx(x):
+    x = x.astype(np.float64)
+    return x * np.log(np.where(x > 0, x, 1.0))
+
+
+def _search(keys, values, query):
+    """values at `query` in the sorted, non-empty `keys`, 0 where a key is
+    absent."""
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[pos] == query, values[pos], 0)
+
+
+def snapshot_proposals(graph, assignment, B, beta, uniforms):
+    """Evaluate one proposal per node against the frozen labelling
+    `assignment` over B blocks, all nodes in one numpy pass.
+
+    Node i draws its proposal from uniforms[i] with the sequential sweep's
+    rule and is scored with the same dS and Hastings correction, against
+    M as it stands before any move. Nodes without edges and nodes whose
+    proposal is their own block are dropped. Returns the arrays (nodes,
+    proposed, accepted, delta_S, p_accept) over the remaining nodes.
+    """
+    b = assignment
+    cell, m, _ = block_cells(graph, b, B)
+    d_out = np.bincount(cell // B, weights=m, minlength=B).astype(np.int64)
+    d_in = np.bincount(cell % B, weights=m, minlength=B).astype(np.int64)
+    d = d_out + d_in
+    if B * B <= _DENSE_CELLS:
+        dense = np.zeros(B * B, dtype=np.int64)
+        dense[cell] = m
+        get_m = dense.__getitem__
+    else:
+        def get_m(q):
+            return _search(cell, m, q)
+
+    # proposal: the block u of a weight-drawn neighbour, then either a
+    # uniform block or a block drawn from row u of M + M^T (by id order)
+    nodes = np.flatnonzero(graph.degree)
+    U = uniforms[nodes]
+    u_blk = b[graph.draw_neighbors(nodes, U[:, 0])]
+    du = d[u_blk]
+    s = np.minimum(np.floor(U[:, 2] * B), B - 1).astype(np.int64)
+    via = U[:, 1] > B / (du + B)
+    if via.any():
+        key = np.concatenate((cell, cell % B * B + cell // B))
+        order, start = runs(key)
+        key = key[order[start]]
+        cum = np.concatenate(([0], np.cumsum(np.add.reduceat(
+            np.concatenate((m, m))[order], start))))
+        dv = du[via]
+        x = cum[np.searchsorted(key, u_blk[via] * B)] \
+            + np.minimum(np.floor(U[via, 2] * dv), dv - 1).astype(np.int64)
+        s[via] = key[np.searchsorted(cum, x, side="right") - 1] % B
+    r = b[nodes]
+    move = s != r
+    nodes, r, s, u_accept = nodes[move], r[move], s[move], U[move, 3]
+
+    dS = np.empty(len(nodes))
+    pf = np.empty(len(nodes))
+    pb = np.empty(len(nodes))
+    ptr = graph.ptr
+    size = ptr[nodes + 1] - ptr[nodes]
+    cuts = np.flatnonzero(np.diff((np.cumsum(size) - 1) // _CHUNK_ENTRIES)) + 1
+    bounds = np.unique(np.r_[0, cuts, len(nodes)])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        dS[lo:hi], pf[lo:hi], pb[lo:hi] = _score_moves(
+            graph, b, B, nodes[lo:hi], r[lo:hi], s[lo:hi], size[lo:hi],
+            get_m, d_out, d_in, d)
+    with np.errstate(over="ignore"):
+        p_accept = np.minimum(np.exp(-beta * dS) * pb / pf, 1.0)
+    return nodes, s, u_accept <= p_accept, dS, p_accept
+
+
+def _score_moves(graph, b, B, nodes, r, s, size, get_m, d_out, d_in, d):
+    """dS, p_forward and p_backward of moving each node r -> s, each summed
+    term by term in the order `_evaluate` sums it."""
+    n, m = len(nodes), int(size.sum())
+    pos = np.repeat(np.arange(n), size)
+    q = np.arange(m) - np.repeat(np.cumsum(size) - size, size)
+    e = graph.ptr[nodes][pos] + q
+    j = graph.nbr[e]
+    t = b[j]
+    wo, wi = graph.w_out[e], graph.w_in[e]
+    loop = j == nodes[pos]
+
+    # the node's neighbour blocks t, each with k_t, its edge weight to t,
+    # and the cells (r, t), (s, t), (t, r) and (t, s) of M
+    order, start = runs(pos * B + t)
+    new_run = np.zeros(m, dtype=np.int64)
+    new_run[start[1:]] = 1
+    group = np.empty(m, dtype=np.int64)
+    group[order] = np.cumsum(new_run)
+    k_to = np.add.reduceat(wo[order], start)
+    k_from = np.add.reduceat(wi[order], start)
+    k = k_to + k_from
+    gp, gt = pos[order[start]], t[order[start]]
+    gr, gs = r[gp], s[gp]
+    G = len(start)
+    lp = np.flatnonzero(loop)
+    # M before the move at each group's four cells, then at (s, s) for
+    # each self-loop
+    before = get_m(np.concatenate((gr * B + gt, gs * B + gt, gt * B + gr,
+                                   gt * B + gs, s[pos[lp]] * (B + 1))))
+    m_rt, m_st, m_tr, m_ts = (before[x * G:(x + 1) * G] for x in range(4))
+    by_reach = np.argsort(order[start])   # the order the row reaches them
+
+    # The change to M, as the cell updates of move_delta in the order it
+    # makes them: (r, t), then (s, t), over the out-entries (a row's
+    # prefix); (s, s) for a self-loop; (t, r), then (t, s), over the
+    # in-entries by neighbour id. A self-loop's weight only leaves (r, r)
+    # for (s, s), so its other updates add 0. Each cell of a node has one
+    # id in [0, 4B): by column in row r, then row s, else by row in column
+    # r, then column s.
+    oi, ii = np.flatnonzero(wo), np.flatnonzero(wi)
+    po, pi, pl = pos[oi], pos[ii], pos[lp]
+    n_out = np.bincount(po, minlength=n)
+    n_in = np.bincount(pi, minlength=n)
+    width = 2 * n_out + 1 + 2 * n_in
+    base = np.cumsum(width) - width
+    qi = np.empty(len(ii), dtype=np.int64)
+    qi[np.argsort(pi * graph.num_nodes + j[ii])] = \
+        np.arange(len(ii)) - np.repeat(np.cumsum(n_in) - n_in, n_in)
+    s_in = base[pi] + 2 * n_out[pi] + 1 + qi
+    slot = np.concatenate((base[po] + q[oi], base[po] + n_out[po] + q[oi],
+                           base[pl] + 2 * n_out[pl], s_in, s_in + n_in[pi]))
+    ri, si, ti = r[pi], s[pi], t[ii]
+    in_r, in_s = ti == ri, ti == si
+    cid = np.concatenate((
+        t[oi], B + t[oi], B + s[pl],
+        np.where(in_r, ri, np.where(in_s, B + ri, 2 * B + ti)),
+        np.where(in_r, si, np.where(in_s, B + si, 3 * B + ti))))
+    key = np.concatenate((po, po, pl, pi, pi)) * (4 * B) + cid
+    # where each update's cell value sits in `before`
+    at = np.concatenate((group[oi], G + group[oi], 4 * G + np.arange(len(lp)),
+                         2 * G + group[ii], 3 * G + group[ii]))
+    wo_, wi_ = np.where(loop[oi], 0, wo[oi]), np.where(loop[ii], 0, wi[ii])
+    dw = np.concatenate((-wo[oi], wo_, wo[lp], -wi_, wi_))
+    by_slot = np.full(base[-1] + width[-1], -1)
+    by_slot[slot] = np.arange(len(slot))
+    by_slot = by_slot[by_slot >= 0]
+    key, at, dw = key[by_slot], at[by_slot], dw[by_slot]
+    order, start = runs(key)
+    delta = np.add.reduceat(dw[order], start)
+    first = order[start]
+    key = key[first]
+    seq = np.argsort(first)
+    seq = seq[delta[seq] != 0]
+    w_b = before[at[first[seq]]]
+    k_out = np.bincount(po, weights=wo[oi], minlength=n).astype(np.int64)
+    k_in = np.bincount(pi, weights=wi[ii], minlength=n).astype(np.int64)
+    dor, dos, dir_, dis = d_out[r], d_out[s], d_in[r], d_in[s]
+    degrees = np.column_stack((dor, dor - k_out, dos, dos + k_out,
+                               dir_, dir_ - k_in, dis, dis + k_in))
+    terms = _xlogx(np.concatenate((
+        np.column_stack((w_b, w_b + delta[seq])).ravel(), degrees.ravel())))
+    terms[1:2 * len(seq):2] *= -1   # w log w after the move
+    terms[2 * len(seq)::2] *= -1    # degree entropies before it
+    dS = np.bincount(np.concatenate((np.repeat(key[seq] // (4 * B), 2),
+                                     np.repeat(np.arange(n), 8))),
+                     weights=terms, minlength=n)
+
+    # Hastings correction: the proposal probabilities of s before the move
+    # and of r after it. Cells (t, r) and (r, t) lose the node's edges from
+    # and to t, unless t is r or s, where other updates meet them.
+    pf = k * (m_ts + m_st + 1) / (d[gt] + B)
+    kk = (k_out + k_in)[gp]
+    dt_a = np.where(gt == gr, d[gr] - kk,
+                    np.where(gt == gs, d[gs] + kk, d[gt]))
+    d_tr, d_rt = -k_from, -k_to
+    sp = np.flatnonzero((gt == gr) | (gt == gs))
+    row = gp[sp] * (4 * B)
+    d_tr[sp], d_rt[sp] = _search(key, delta, np.concatenate((
+        row + np.where(gt[sp] == gr[sp], gr[sp], B + gr[sp]),
+        row + gt[sp]))).reshape(2, -1)
+    pb = k * (m_tr + d_tr + m_rt + d_rt + 1) / (dt_a + B)
+    gp = gp[by_reach]
+    return (dS, np.bincount(gp, weights=pf[by_reach], minlength=n),
+            np.bincount(gp, weights=pb[by_reach], minlength=n))
 
 
 def mcmc_sweep(graph, partition, state, config, sweep_index=0):
@@ -248,9 +403,9 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0):
 
     sequential: nodes visited in random order against the live state; each
     accepted move updates M in place.
-    parallel-snapshot (also named batch): every node is evaluated against
-    the frozen sweep-start state, in config.workers processes; accepted
-    moves are applied at a barrier and M is rebuilt once.
+    batch: every node is evaluated against the frozen sweep-start state in
+    one numpy pass (`snapshot_proposals`); the accepted moves are applied
+    at a barrier and M is rebuilt once.
     Both replay the same counter-based draws for a given sweep_index.
     Returns (partition, state, H_after, num_accepted).
     """
@@ -273,12 +428,12 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0):
                 b[i] = o.proposed_block
                 accepted += 1
         return partition, state, description_length(state, N, E), accepted
-    outcomes = snapshot_outcomes(graph, b.copy(), state, config, U)
-    moves = [(o.node, o.proposed_block) for o in outcomes if o.accepted]
-    for i, s in moves:
-        b[i] = s
+    nodes, proposed, accepted, _, _ = snapshot_proposals(
+        graph, b, state.num_blocks, config.beta, U)
+    b[nodes[accepted]] = proposed[accepted]
     state = recompute_block_matrix(graph, partition)
-    return partition, state, description_length(state, N, E), len(moves)
+    return (partition, state, description_length(state, N, E),
+            int(np.count_nonzero(accepted)))
 
 
 def run_mcmc(graph, partition, state, config, sweep_base=0, sweep_cap=None):
@@ -471,7 +626,9 @@ def merge_blocks(graph, partition, state, target_B, config, rng=None):
             if not heap:
                 empty_refills += 1
                 if empty_refills > 100:
-                    raise RuntimeError("unable to find further merge candidates")
+                    raise ValueError(f"unable to find further merge "
+                                     f"candidates: {B - merged} blocks left, "
+                                     f"target {target_B}")
             continue
         dS, r, s = heapq.heappop(heap)
         if find(r) != r:

@@ -18,9 +18,11 @@ class Graph:
 
     Node i's neighbours nbr[ptr[i]:ptr[i+1]] are its out-neighbours by id,
     then its remaining in-neighbours by id; w_out and w_in hold the weights
-    of i -> j and j -> i (0 when absent), and cumw their running sum within
-    the row. A self-loop of weight w (w_out == w_in == w) counts w toward
-    both the in- and the out-degree of its node (2w toward the total).
+    of i -> j and j -> i (0 when absent). cumw[e] is the running weight of
+    the whole table before entry e (cumw[-1] is the total), so row i spans
+    [cumw[ptr[i]], cumw[ptr[i+1]]). A self-loop of weight w (w_out == w_in
+    == w) counts w toward both the in- and the out-degree of its node (2w
+    toward the total).
     """
 
     __slots__ = ("num_nodes", "ptr", "nbr", "w_out", "w_in", "cumw",
@@ -29,10 +31,8 @@ class Graph:
     def __init__(self, num_nodes, ptr, nbr, w_out, w_in):
         self.num_nodes = num_nodes
         self.ptr, self.nbr, self.w_out, self.w_in = ptr, nbr, w_out, w_in
-        run = np.concatenate(([0], np.cumsum(w_out + w_in)))
-        start = run[ptr[:-1]]
-        self.degree = run[ptr[1:]] - start
-        self.cumw = run[1:] - np.repeat(start, np.diff(ptr))
+        self.cumw = np.concatenate(([0], np.cumsum(w_out + w_in)))
+        self.degree = self.cumw[ptr[1:]] - self.cumw[ptr[:-1]]
         self.total_edge_weight = int(w_out.sum())
 
     def neighbors(self, i):
@@ -59,32 +59,52 @@ class Graph:
         return 0
 
     def draw_neighbor(self, i, u):
-        """Pick a neighbor of i proportional to combined edge weight.
+        """Pick a neighbour of node i proportional to combined edge weight.
 
-        u is a uniform variate in [0, 1); a self-loop of weight w is drawn
-        with probability 2w / k_i (it contributes one edge per direction).
+        u is a uniform variate in [0, 1). The draw is the first entry of
+        row i whose running weight exceeds floor(u * k_i), so a self-loop
+        of weight w is drawn with probability 2w / k_i (it contributes one
+        edge per direction). `draw_neighbors` makes the same draw for many
+        nodes at once.
         """
-        lo, hi = self.ptr[i], self.ptr[i + 1]
+        lo, hi = int(self.ptr[i]), int(self.ptr[i + 1])
         if lo == hi:
             raise ValueError(f"node {i} has no edges to draw from")
-        c = self.cumw[lo:hi]
-        idx = np.searchsorted(c, u * c[-1], side="right")
-        return int(self.nbr[lo + min(idx, hi - lo - 1)])
+        start = int(self.cumw[lo])
+        k = int(self.cumw[hi]) - start
+        x = start + min(int(u * k), k - 1)
+        return int(self.nbr[np.searchsorted(self.cumw, x, side="right") - 1])
+
+    def draw_neighbors(self, nodes, u):
+        """`draw_neighbor` for each node of the array `nodes`, with the
+        matching variate of `u`; every node must have an edge."""
+        k = self.degree[nodes]
+        x = self.cumw[self.ptr[nodes]] + np.minimum(np.floor(u * k),
+                                                    k - 1).astype(np.int64)
+        return self.nbr[np.searchsorted(self.cumw, x, side="right") - 1]
+
+
+def edge_rows(edge_list):
+    """(source, target[, weight]) rows, given as a list of tuples or as an
+    (E, 2) or (E, 3) integer array, as one (E, 3) int64 array; a missing
+    weight is 1."""
+    if not isinstance(edge_list, np.ndarray):
+        rows = [e if len(e) == 3 else (*e, 1) for e in edge_list]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    e = edge_list.astype(np.int64, copy=False)
+    if e.shape[1] == 3:
+        return e
+    return np.column_stack((e, np.ones(len(e), dtype=np.int64)))
 
 
 def build_graph(edge_list, num_nodes=None):
-    """Build a Graph from (source, target[, weight]) rows, given as a list
-    of tuples or as an (E, 2) or (E, 3) integer array; a missing weight is 1.
+    """Build a Graph from (source, target[, weight]) rows (see `edge_rows`).
 
     This is the one place where duplicate (i, j) entries are summed into
     one weighted edge. Node count is inferred as max id + 1 unless given.
     """
-    if not isinstance(edge_list, np.ndarray):
-        rows = [e if len(e) == 3 else (*e, 1) for e in edge_list]
-        edge_list = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
-    e = edge_list.astype(np.int64, copy=False)
-    src, dst = e[:, 0], e[:, 1]
-    w = e[:, 2] if e.shape[1] == 3 else np.ones(len(e), dtype=np.int64)
+    e = edge_rows(edge_list)
+    src, dst, w = e[:, 0], e[:, 1], e[:, 2]
     bad = np.flatnonzero((src < 0) | (dst < 0) | (w < 1))
     if bad.size:
         k = bad[0]
@@ -218,6 +238,33 @@ def node_block_edge_counts(graph, assignment, i):
     return NodeBlockEdgeCounts(out_c, in_c, comb, w_self)
 
 
+def runs(key):
+    """Stable sort order of the non-negative int64 array `key`, and the
+    position in that order where each run of equal keys starts, so that
+    order[start] is the first item of each run."""
+    n = len(key)
+    bits = n.bit_length()
+    if n and int(key.max()) >= 1 << (62 - bits):
+        order = np.argsort(key, kind="stable")
+        k = key[order]
+    else:
+        # one plain sort of key and index packed together: about twice as
+        # fast as a stable argsort
+        packed = np.sort((key << bits) | np.arange(n))
+        order, k = packed & ((1 << bits) - 1), packed >> bits
+    return order, np.flatnonzero(np.concatenate(([n > 0], k[1:] != k[:-1])))
+
+
+def block_cells(graph, assignment, B):
+    """The nonzero cells of M = Gamma^T A Gamma for the labelling
+    `assignment` over B blocks: their sorted keys r * B + s, their weights,
+    and the index of the first (source, target)-sorted edge in each."""
+    src, dst, w = graph._edge_arrays()
+    key = assignment[src] * B + assignment[dst]
+    order, start = runs(key)
+    return key[order[start]], np.add.reduceat(w[order], start), order[start]
+
+
 def recompute_block_matrix(graph, partition):
     """Full M = Gamma^T A Gamma recomputation with degree vectors. Row r
     lists its blocks as the (source, target)-sorted edges first reach them,
@@ -225,11 +272,7 @@ def recompute_block_matrix(graph, partition):
     if len(partition.assignment) != graph.num_nodes:
         raise ValueError("partition length does not match graph")
     B = partition.num_blocks
-    b = partition.assignment
-    src, dst, w = graph._edge_arrays()
-    cell, first, inv = np.unique(b[src] * B + b[dst], return_index=True,
-                                 return_inverse=True)
-    m = np.bincount(inv, weights=w, minlength=len(cell)).astype(np.int64)
+    cell, m, first = block_cells(graph, partition.assignment, B)
     r, s = cell // B, cell % B
     rows = [dict() for _ in range(B)]
     cols = [dict() for _ in range(B)]

@@ -234,15 +234,12 @@ class ComputationalReport:
 
 def peak_memory_bytes():
     """Best-effort peak RSS over the lifetime of the process, not of one
-    stage: the larger of this process's high-water mark and that of its
-    largest finished worker process."""
+    stage."""
     try:
         import resource
     except ImportError:
         return None
-    kb = max(resource.getrusage(who).ru_maxrss
-             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    return int(kb) * 1024
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
 
 
 def computational_report(num_edges, elapsed_seconds, num_workers=1,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .engine import (MCMCConfig, golden_section_search, split_partition,
                      warm_start)
-from .graph import build_graph
+from .graph import build_graph, edge_rows
 from .metrics import computational_report, correctness_report
 
 
@@ -50,8 +50,10 @@ def ingest_stage(session, batch, stage=None):
     if stage is not None and stage != session.stage_index + 1:
         raise ValueError(f"out-of-order stage {stage}; expected "
                          f"{session.stage_index + 1}")
-    previous = [] if session.graph is None else session.graph.edge_list()
-    graph = build_graph(previous + list(batch))
+    rows = edge_rows(batch)
+    if session.graph is not None:
+        rows = np.vstack((np.column_stack(session.graph._edge_arrays()), rows))
+    graph = build_graph(rows)
     for name, labels in (("truth", session.truth),
                          ("generated mask", session.generated_mask)):
         if labels is not None and len(labels) < graph.num_nodes:

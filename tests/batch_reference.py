@@ -1,5 +1,5 @@
-"""Matrix-form snapshot sweep: the independent reference that the per-node
-snapshot sweep (`sbpart.engine.snapshot_outcomes`) is checked against.
+"""Matrix-form snapshot sweep: the independent reference that the numpy
+snapshot sweep (`sbpart.engine.snapshot_proposals`) is checked against.
 
 It evaluates every node against one frozen state using dense block-matrix
 rows and the node-to-block counts A.Gamma and A^T.Gamma, so it shares no

@@ -79,3 +79,19 @@ def nodal_update(i, partition, state, graph, config, rng):
         apply_delta(state, r, outcome.proposed_block, *commit)
         partition.assignment[i] = outcome.proposed_block
     return outcome
+
+
+def snapshot_outcomes(graph, assignment, state, config, uniforms):
+    """Evaluate every node against the frozen (assignment, state) snapshot,
+    one `_evaluate` per node: the per-node oracle of the numpy snapshot
+    sweep (`sbpart.engine.snapshot_proposals`)."""
+    B = state.num_blocks
+    out = []
+    for i in range(graph.num_nodes):
+        if graph.degree[i] == 0:
+            continue
+        o, _ = _evaluate(graph, assignment, state, B, config.beta, i,
+                         uniforms[i, 0], uniforms[i, 1],
+                         uniforms[i, 2], uniforms[i, 3])
+        out.append(o)
+    return out

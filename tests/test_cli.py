@@ -116,8 +116,8 @@ def test_partition_modes_agree(tmp_path):
     par = reports["parallel"]["correctness"]
     assert abs(seq["pairwise_precision"] - par["pairwise_precision"]) <= 0.05
     assert abs(seq["pairwise_recall"] - par["pairwise_recall"]) <= 0.05
-    # batch and parallel-snapshot share randomness and evaluate against the
-    # same frozen snapshot, so their partitions are identical
+    # --mode parallel is another name for batch, so their partitions are
+    # identical
     assert filecmp.cmp(str(tmp_path / "parallel_partition.tsv"),
                        str(tmp_path / "batch_partition.tsv"), shallow=False)
 
@@ -273,6 +273,17 @@ def test_exit_code_data_value_error(tmp_path):
     rc = main(["evaluate", "--truth", TABLE1_TRUTH,
                "--partition", TABLE1_OUTPUT, "--mask", str(mask_file)])
     assert rc == 2
+
+
+def test_merge_failure_is_data_error(tmp_path, capsys):
+    """Two nodes joined only to themselves never propose each other as a
+    merge target, so the search cannot reach one block."""
+    edge_file = tmp_path / "loops.tsv"
+    edge_file.write_text("1\t1\t1000000\n2\t2\t1000000\n")
+    rc = main(["partition", str(edge_file), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert "unable to find further merge candidates" in \
+        capsys.readouterr().err
 
 
 def test_mask_bad_flag_names_file_and_line(tmp_path, capsys):

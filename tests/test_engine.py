@@ -7,7 +7,7 @@ from scipy.stats import chisquare
 
 from sbpart.engine import (MCMCConfig, description_length, entropy_sum,
                            golden_section_search, mcmc_sweep, merge_blocks,
-                           merge_delta_S, run_mcmc, snapshot_outcomes,
+                           merge_delta_S, run_mcmc, snapshot_proposals,
                            split_partition, warm_start, _sweep_uniforms)
 from sbpart.graph import (BlockModelState, Partition, apply_move, build_graph,
                           node_block_edge_counts, recompute_block_matrix)
@@ -266,7 +266,7 @@ def test_sweep_single_node_noop():
     assert list(p.assignment) == [0]
 
 
-@pytest.mark.parametrize("mode", ["sequential", "parallel-snapshot", "batch"])
+@pytest.mark.parametrize("mode", ["sequential", "batch"])
 def test_sweep_state_consistency(mode):
     rng = np.random.default_rng(41)
     config = MCMCConfig(execution_mode=mode, rng_seed=7)
@@ -283,13 +283,14 @@ def test_sweep_state_consistency(mode):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
 def test_snapshot_sweep_worker_processes_agree():
-    """Splitting the snapshot sweep over worker processes changes nothing."""
+    """The worker count changes nothing: the snapshot sweep is one numpy
+    pass in the calling process."""
     rng = np.random.default_rng(61)
     g = random_graph(rng, max_nodes=60, min_nodes=40)
     start = random_partition(rng, g.num_nodes)
     runs = []
     for workers in (1, 2):
-        config = MCMCConfig(execution_mode="parallel-snapshot", rng_seed=13,
+        config = MCMCConfig(execution_mode="batch", rng_seed=13,
                             workers=workers)
         p = start.copy()
         p, _, h, accepted = mcmc_sweep(g, p, recompute_block_matrix(g, p),
@@ -305,20 +306,24 @@ def test_snapshot_equals_batch_outcomes():
     config = MCMCConfig(rng_seed=11)
     g = random_graph(rng, max_nodes=60, min_nodes=20)
     p = random_partition(rng, g.num_nodes)
-    state = recompute_block_matrix(g, p)
     U = _sweep_uniforms(config.rng_seed, 0, g.num_nodes)
-    seq = snapshot_outcomes(g, p.assignment.copy(), state, config, U)
-    res = batch_outcomes(g, p.assignment.copy(), state, config, U)
-    for o in seq:
-        i = o.node
-        assert res["proposal"][i] == o.proposed_block
-        if o.proposed_block == o.current_block:
+    nodes, proposed, accepted, dS, p_accept = snapshot_proposals(
+        g, p.assignment.copy(), p.num_blocks, config.beta, U)
+    res = batch_outcomes(g, p.assignment.copy(),
+                         recompute_block_matrix(g, p), config, U)
+    moving = dict(zip(nodes.tolist(), range(len(nodes))))
+    for i in range(g.num_nodes):
+        if g.degree[i] == 0:
+            continue
+        if i not in moving:
+            assert res["proposal"][i] == p.assignment[i]
             assert not res["evaluated"][i]
             continue
-        assert res["accept"][i] == o.accepted
-        assert res["delta_S"][i] == pytest.approx(o.delta_S,
-                                                  rel=1e-9, abs=1e-12)
-        assert res["p_accept"][i] == pytest.approx(o.p_accept, rel=1e-9)
+        k = moving[i]
+        assert res["proposal"][i] == proposed[k]
+        assert res["accept"][i] == accepted[k]
+        assert res["delta_S"][i] == pytest.approx(dS[k], rel=1e-9, abs=1e-12)
+        assert res["p_accept"][i] == pytest.approx(p_accept[k], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,14 @@ def test_draw_neighbor_follows_documented_order(rows, isolated, us):
         # every boundary and a point inside each interval, plus the draws
         probes = list(us) + [c / cum[-1] for c in cum[:-1]] \
             + [(c - 0.5) / cum[-1] for c in cum]
+        expected = []
         for u in probes:
             k = min(int(np.searchsorted(cum, u * cum[-1], side="right")),
                     len(cum) - 1)
             assert g.draw_neighbor(i, u) == table[k][0]
+            expected.append(table[k][0])
+        assert g.draw_neighbors(np.full(len(probes), i),
+                                np.array(probes)).tolist() == expected
 
 
 @_settings

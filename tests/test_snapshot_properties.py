@@ -1,0 +1,57 @@
+"""Property tests of the numpy snapshot sweep against the per-node oracle
+(one `_evaluate` per node, the kernel the sequential sweep runs)."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sbpart.engine import MCMCConfig, snapshot_proposals, _sweep_uniforms
+from sbpart.graph import Partition, build_graph, recompute_block_matrix
+
+from engine_reference import snapshot_outcomes
+
+
+@st.composite
+def _cases(draw):
+    """A small graph with self-loops and isolated nodes, a labelling over B
+    blocks (B * B up to 65,536 is read densely, above it by search), a
+    sweep seed and an inverse temperature (1000 overflows exp)."""
+    n = draw(st.integers(1, 24))
+    ids = st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(ids, ids, st.integers(1, 5)),
+                         max_size=60))
+    B = draw(st.sampled_from([1, 2, 3, 7, 256, 257, 300]))
+    labels = draw(st.lists(st.integers(0, B - 1), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    beta = draw(st.sampled_from([0.5, 3.0, 1000.0]))
+    return build_graph(rows, num_nodes=n), Partition(labels, B), seed, beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases())
+def test_snapshot_proposals_match_per_node_oracle(case):
+    g, p, seed, beta = case
+    config = MCMCConfig(beta=beta, rng_seed=seed)
+    U = _sweep_uniforms(seed, 0, g.num_nodes)
+    ref = snapshot_outcomes(g, p.assignment.copy(),
+                            recompute_block_matrix(g, p), config, U)
+    moving = [o for o in ref if o.proposed_block != o.current_block]
+    nodes, proposed, accepted, dS, p_accept = snapshot_proposals(
+        g, p.assignment.copy(), p.num_blocks, beta, U)
+    assert nodes.tolist() == [o.node for o in moving]
+    assert proposed.tolist() == [o.proposed_block for o in moving]
+    assert accepted.tolist() == [o.accepted for o in moving]
+    # both sum the same terms in different orders
+    assert dS == pytest.approx([o.delta_S for o in moving],
+                               rel=1e-9, abs=1e-12)
+    assert p_accept == pytest.approx([o.p_accept for o in moving], rel=1e-9)
+
+
+def test_snapshot_proposals_leave_the_labelling_alone():
+    g = build_graph([(0, 1, 2), (1, 2, 1), (2, 2, 3), (3, 0, 1)],
+                    num_nodes=6)
+    b = np.array([0, 1, 1, 2, 0, 3])
+    before = b.copy()
+    U = _sweep_uniforms(5, 0, g.num_nodes)
+    nodes, *_ = snapshot_proposals(g, b, 4, 3.0, U)
+    assert np.array_equal(b, before)
+    assert not set(nodes.tolist()) & {4, 5}   # no edges, no proposal
