@@ -22,6 +22,7 @@ from .graph import (
     _bump,
     apply_delta,
     block_cells,
+    block_state,
     move_delta,
     node_block_edge_counts,
     recompute_block_matrix,
@@ -68,18 +69,6 @@ class MCMCConfig:
         if not 1 <= self.workers <= (os.cpu_count() or 1):
             raise ValueError(f"workers must be between 1 and the CPU count "
                              f"({os.cpu_count() or 1}), got {self.workers}")
-
-
-@dataclass
-class ProposalOutcome:
-    node: int
-    current_block: int
-    proposed_block: int
-    delta_S: float
-    p_forward: float
-    p_backward: float
-    p_accept: float
-    accepted: bool
 
 
 def _h(x):
@@ -148,13 +137,14 @@ def _evaluate(graph, assignment, state, B, beta, i,
               u_edge, u_coin, u_prop, u_accept):
     """One proposal for node i against (assignment, state); no mutation.
 
-    Returns (outcome, commit) where commit is the move_delta triple
-    (delta, ki_out, ki_in) if the move was accepted, else None.
+    Returns (r, s, commit, (delta_S, p_forward, p_backward, p_accept)) for
+    the move r -> s, where commit is the move_delta triple (delta, ki_out,
+    ki_in) if the move was accepted, else None.
     """
     r = int(assignment[i])
     s = _propose(graph, assignment, state, B, i, u_edge, u_coin, u_prop)
     if s == r:
-        return ProposalOutcome(i, r, s, 0.0, 0.0, 0.0, 0.0, False), None
+        return r, s, None, (0.0, 0.0, 0.0, 0.0)
     counts = node_block_edge_counts(graph, assignment, i)
     delta, ki_out, ki_in = move_delta(counts, r, s)
     rows, cols = state.rows, state.cols
@@ -165,6 +155,7 @@ def _evaluate(graph, assignment, state, B, beta, i,
     dir_a, dis_a = dir_ - ki_in, dis + ki_in
     # S collapses to sum(w log w) - sum(d_out log d_out) - sum(d_in log d_in)
     # over the whole matrix, so dS only involves changed cells and degrees
+    log = math.log
     dS = 0.0
     for (t1, t2), dw in delta.items():
         if dw == 0:
@@ -172,15 +163,18 @@ def _evaluate(graph, assignment, state, B, beta, i,
         w_b = rows[t1].get(t2, 0)
         w_a = w_b + dw
         if w_b:
-            dS += w_b * math.log(w_b)
+            dS += w_b * log(w_b)
         if w_a:
-            dS -= w_a * math.log(w_a)
+            dS -= w_a * log(w_a)
     for db, da in ((dor, dor_a), (dos, dos_a), (dir_, dir_a), (dis, dis_a)):
         if db:
-            dS -= db * math.log(db)
+            dS -= db * log(db)
         if da:
-            dS += da * math.log(da)
+            dS += da * log(da)
 
+    # Hastings correction: the proposal probabilities of s before the move
+    # and of r after it. Cells (t, r) and (r, t) lose the node's k edges
+    # from and to t, unless t is r or s, where other updates meet them.
     dr_a = dor_a + dir_a
     ds_a = dos_a + dis_a
     pf = 0.0
@@ -188,11 +182,14 @@ def _evaluate(graph, assignment, state, B, beta, i,
     row_r, col_r = rows[r], cols[r]
     row_s, col_s = rows[s], cols[s]
     for t, k in counts.combined.items():
-        pf += k * (col_s.get(t, 0) + row_s.get(t, 0) + 1) / (int(d[t]) + B)
-        m_tr_a = col_r.get(t, 0) + delta.get((t, r), 0)
-        m_rt_a = row_r.get(t, 0) + delta.get((r, t), 0)
-        dt_a = dr_a if t == r else ds_a if t == s else int(d[t])
-        pb += k * (m_tr_a + m_rt_a + 1) / (dt_a + B)
+        dt = int(d[t])
+        pf += k * (col_s.get(t, 0) + row_s.get(t, 0) + 1) / (dt + B)
+        if t == r or t == s:
+            m_a = col_r.get(t, 0) + delta.get((t, r), 0) \
+                + row_r.get(t, 0) + delta.get((r, t), 0)
+            pb += k * (m_a + 1) / ((dr_a if t == r else ds_a) + B)
+        else:
+            pb += k * (col_r.get(t, 0) + row_r.get(t, 0) - k + 1) / (dt + B)
     if pf <= 0.0:
         # unreachable with the +1 smoothing whenever K is nonempty; guarded
         p_accept = 1.0 if dS < 0 else 0.0
@@ -201,9 +198,8 @@ def _evaluate(graph, assignment, state, B, beta, i,
             p_accept = min(math.exp(-beta * dS) * pb / pf, 1.0)
         except OverflowError:
             p_accept = 1.0
-    accepted = bool(u_accept <= p_accept)
-    outcome = ProposalOutcome(i, r, s, dS, pf, pb, p_accept, accepted)
-    return outcome, ((delta, ki_out, ki_in) if accepted else None)
+    commit = (delta, ki_out, ki_in) if u_accept <= p_accept else None
+    return r, s, commit, (dS, pf, pb, p_accept)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +220,42 @@ def _xlogx(x):
 
 
 def _search(keys, values, query):
-    """values at `query` in the sorted, non-empty `keys`, 0 where a key is
-    absent."""
+    """values at `query` in the sorted `keys`, 0 where a key is absent."""
+    if not len(keys):
+        return np.zeros(len(query), dtype=values.dtype)
     pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     return np.where(keys[pos] == query, values[pos], 0)
+
+
+def _cell_reader(cell, m, B):
+    """M at an array of cell keys r * B + s, given M's sorted nonzero cells
+    (`block_cells`): read from a dense vector up to _DENSE_CELLS cells, by
+    binary search over the keys above."""
+    if B * B <= _DENSE_CELLS:
+        dense = np.zeros(B * B, dtype=np.int64)
+        dense[cell] = m
+        return dense.__getitem__
+    return lambda q: _search(cell, m, q)
+
+
+def _row_sampler(cell, m, B):
+    """A draw from rows of M + M^T, given M's sorted nonzero cells.
+
+    draw(rows, d, u) picks, for each row r of `rows` with total weight
+    d > 0 and variate u, the first block t (by id) whose running weight in
+    row r exceeds floor(u * d).
+    """
+    key = np.concatenate((cell, cell % B * B + cell // B))
+    order, start = runs(key)
+    key = key[order[start]]
+    cum = np.concatenate(([0], np.cumsum(np.add.reduceat(
+        np.concatenate((m, m))[order], start))))
+
+    def draw(rows, d, u):
+        x = cum[np.searchsorted(key, rows * B)] \
+            + np.minimum(np.floor(u * d), d - 1).astype(np.int64)
+        return key[np.searchsorted(cum, x, side="right") - 1] % B
+    return draw
 
 
 def snapshot_proposals(graph, assignment, B, beta, uniforms):
@@ -245,13 +273,7 @@ def snapshot_proposals(graph, assignment, B, beta, uniforms):
     d_out = np.bincount(cell // B, weights=m, minlength=B).astype(np.int64)
     d_in = np.bincount(cell % B, weights=m, minlength=B).astype(np.int64)
     d = d_out + d_in
-    if B * B <= _DENSE_CELLS:
-        dense = np.zeros(B * B, dtype=np.int64)
-        dense[cell] = m
-        get_m = dense.__getitem__
-    else:
-        def get_m(q):
-            return _search(cell, m, q)
+    get_m = _cell_reader(cell, m, B)
 
     # proposal: the block u of a weight-drawn neighbour, then either a
     # uniform block or a block drawn from row u of M + M^T (by id order)
@@ -262,15 +284,7 @@ def snapshot_proposals(graph, assignment, B, beta, uniforms):
     s = np.minimum(np.floor(U[:, 2] * B), B - 1).astype(np.int64)
     via = U[:, 1] > B / (du + B)
     if via.any():
-        key = np.concatenate((cell, cell % B * B + cell // B))
-        order, start = runs(key)
-        key = key[order[start]]
-        cum = np.concatenate(([0], np.cumsum(np.add.reduceat(
-            np.concatenate((m, m))[order], start))))
-        dv = du[via]
-        x = cum[np.searchsorted(key, u_blk[via] * B)] \
-            + np.minimum(np.floor(U[via, 2] * dv), dv - 1).astype(np.int64)
-        s[via] = key[np.searchsorted(cum, x, side="right") - 1] % B
+        s[via] = _row_sampler(cell, m, B)(u_blk[via], du[via], U[via, 2])
     r = b[nodes]
     move = s != r
     nodes, r, s, u_accept = nodes[move], r[move], s[move], U[move, 3]
@@ -421,11 +435,11 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0):
             i = int(i)
             if graph.degree[i] == 0:
                 continue
-            o, commit = _evaluate(graph, b, state, B, beta, i,
-                                  U[i, 0], U[i, 1], U[i, 2], U[i, 3])
+            r, s, commit, _ = _evaluate(graph, b, state, B, beta, i,
+                                        U[i, 0], U[i, 1], U[i, 2], U[i, 3])
             if commit is not None:
-                apply_delta(state, o.current_block, o.proposed_block, *commit)
-                b[i] = o.proposed_block
+                apply_delta(state, r, s, *commit)
+                b[i] = s
                 accepted += 1
         return partition, state, description_length(state, N, E), accepted
     nodes, proposed, accepted, _, _ = snapshot_proposals(
@@ -461,53 +475,41 @@ def run_mcmc(graph, partition, state, config, sweep_base=0, sweep_cap=None):
 # ---------------------------------------------------------------------------
 # greedy block merges
 
-def _merge_window_after(state, r, s):
-    """Rows/cols of the window after merging block r into block s."""
-    row_s_a, col_s_a = {}, {}
-    for src in (state.rows[s], state.rows[r]):
-        for t, w in src.items():
-            tt = s if t == r else t
-            row_s_a[tt] = row_s_a.get(tt, 0) + w
-    for src in (state.cols[s], state.cols[r]):
-        for t, w in src.items():
-            tt = s if t == r else t
-            col_s_a[tt] = col_s_a.get(tt, 0) + w
-    return row_s_a, col_s_a
-
-
 def merge_delta_S(state, r, s):
     """Log-posterior change of reassigning every node of block r to block s.
 
     Uses the collapsed form of S (sum of w log w minus block-degree
-    entropies), so only the changed cells of rows/cols r and s enter.
+    entropies). A cell that only one of rows r and s fills (or columns r
+    and s) keeps its w log w, so only the cells they share enter, with the
+    2 x 2 {r, s} core and the four degrees.
     """
+    log = math.log
     rows, cols = state.rows, state.cols
     dS = 0.0
-    for w in rows[r].values():
-        dS += w * math.log(w)
-    for w in rows[s].values():
-        dS += w * math.log(w)
-    for t, w in cols[r].items():
-        if t != r and t != s:
-            dS += w * math.log(w)
-    for t, w in cols[s].items():
-        if t != r and t != s:
-            dS += w * math.log(w)
-    row_s_a, col_s_a = _merge_window_after(state, r, s)
-    for w in row_s_a.values():
-        dS -= w * math.log(w)
-    for t, w in col_s_a.items():
-        if t != r and t != s:
-            dS -= w * math.log(w)
+    for a, b in ((rows[r], rows[s]), (cols[r], cols[s])):
+        if len(a) > len(b):
+            a, b = b, a
+        for t, x in a.items():
+            y = b.get(t)
+            if y and t != r and t != s:
+                dS += x * log(x) + y * log(y) - (x + y) * log(x + y)
+    core = (rows[r].get(r, 0), rows[r].get(s, 0),
+            rows[s].get(r, 0), rows[s].get(s, 0))
+    for w in core:
+        if w:
+            dS += w * log(w)
+    merged = sum(core)
+    if merged:
+        dS -= merged * log(merged)
     dor, dos = int(state.d_out[r]), int(state.d_out[s])
     dir_, dis = int(state.d_in[r]), int(state.d_in[s])
     for db in (dor, dos, dir_, dis):
         if db:
-            dS -= db * math.log(db)
+            dS -= db * log(db)
     if dor + dos:
-        dS += (dor + dos) * math.log(dor + dos)
+        dS += (dor + dos) * log(dor + dos)
     if dir_ + dis:
-        dS += (dir_ + dis) * math.log(dir_ + dis)
+        dS += (dir_ + dis) * log(dir_ + dis)
     return dS
 
 
@@ -541,66 +543,111 @@ def _merge_into(state, r, s):
     state.d[r] = 0
 
 
-def _propose_merge_target(state, r, B, rng):
-    """Merge-candidate proposal: the nodal proposal rule on the block graph."""
-    dr = int(state.d[r])
-    if dr == 0:
-        s = int(rng.integers(B))
-        return s if s != r else None
-    comb = dict(state.rows[r])
-    for t, w in state.cols[r].items():
-        comb[t] = comb.get(t, 0) + w
-    thresh = rng.random() * dr
-    c = 0
-    u = r
-    for u in sorted(comb):
-        c += comb[u]
-        if c > thresh:
-            break
-    du = int(state.d[u])
-    if rng.random() <= B / (du + B):
-        return int(rng.integers(B))
-    comb_u = dict(state.rows[u])
-    for t, w in state.cols[u].items():
-        comb_u[t] = comb_u.get(t, 0) + w
-    thresh = rng.random() * du
-    c = 0
-    s = u
-    for s in sorted(comb_u):
-        c += comb_u[s]
-        if c > thresh:
-            break
-    return s
+def merge_candidates(cell, m, B, uniforms):
+    """Draw and score merge candidates for all B blocks in one numpy pass,
+    given M's sorted nonzero cells (`block_cells`).
+
+    uniforms has shape (B, P, 3): uniforms[r, p] draws block r's p-th
+    candidate s with the nodal proposal rule on the block graph. With
+    the first variate a neighbour block u is drawn from row r of M + M^T;
+    then if the second is at most B / (d_u + B), s is the uniform block
+    floor(third * B), else s is drawn from row u with the third. A block
+    without edges takes u = r and d_u = 0, so it draws a uniform block.
+    Returns the arrays (r, s, delta_S) over the candidates with s != r, in
+    (r, p) order, where delta_S is `merge_delta_S` of merging r into s.
+    """
+    d_out = np.bincount(cell // B, weights=m, minlength=B).astype(np.int64)
+    d_in = np.bincount(cell % B, weights=m, minlength=B).astype(np.int64)
+    d = d_out + d_in
+    U = uniforms.reshape(-1, 3)
+    r = np.repeat(np.arange(B), uniforms.shape[1])
+    draw = _row_sampler(cell, m, B)
+    u = r.copy()
+    has = d[r] > 0
+    u[has] = draw(r[has], d[r[has]], U[has, 0])
+    s = np.minimum(np.floor(U[:, 2] * B), B - 1).astype(np.int64)
+    via = U[:, 1] > B / (d[u] + B)
+    s[via] = draw(u[via], d[u[via]], U[via, 2])
+    keep = s != r
+    r, s = r[keep], s[keep]
+
+    # A candidate gathers the cells of row r, and of column r as row r of
+    # M^T, whose sorted cells are the transposed keys. Chunks of about
+    # _CHUNK_ENTRIES gathered cells bound the pass's temporaries.
+    tkey = cell % B * B + cell // B
+    by_col = np.argsort(tkey)
+    sides = [(keys, w, _cell_reader(keys, w, B),
+              np.searchsorted(keys, np.arange(B + 1) * B))
+             for keys, w in ((cell, m), (tkey[by_col], m[by_col]))]
+    size = sum(ptr[r + 1] - ptr[r] for *_, ptr in sides)
+    cuts = np.flatnonzero(np.diff((np.cumsum(size) - 1) // _CHUNK_ENTRIES)) + 1
+    bounds = np.unique(np.r_[0, cuts, len(r)])
+    dS = np.empty(len(r))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        dS[lo:hi] = sum(_shared_cell_terms(*side, r[lo:hi], s[lo:hi], B)
+                        for side in sides)
+    _, _, get_m, _ = sides[0]   # M's own lookup
+    core = np.stack([get_m(x * B + y)
+                     for x, y in ((r, r), (r, s), (s, r), (s, s))])
+    dS += _xlogx(core).sum(axis=0) - _xlogx(core.sum(axis=0))
+    for dx in (d_out, d_in):
+        dS += _xlogx(dx[r] + dx[s]) - _xlogx(dx[r]) - _xlogx(dx[s])
+    return r, s, dS
 
 
-def merge_blocks(graph, partition, state, target_B, config, rng=None):
-    """Greedily merge blocks down to target_B and relabel to [0, target_B)."""
+def _shared_cell_terms(keys, w, get, ptr, r, s, B):
+    """Per pair, the sum over the cells (r, t) of `keys` (sorted, with
+    weights w, lookup `get` and row starts `ptr`) of
+    x log x + y log y - (x + y) log(x + y),
+    where x = M[r, t] and y = M[s, t] (0 for t = r or s): the w log w that
+    rows r and s lose by summing into one."""
+    size = ptr[r + 1] - ptr[r]
+    pos = np.repeat(np.arange(len(r)), size)
+    e = np.repeat(ptr[r] - (np.cumsum(size) - size), size) \
+        + np.arange(int(size.sum()))
+    t = keys[e] % B
+    x = w[e]
+    y = np.where((t == r[pos]) | (t == s[pos]), 0, get(s[pos] * B + t))
+    terms = _xlogx(x) + _xlogx(y) - _xlogx(x + y)
+    return np.bincount(pos, weights=terms, minlength=len(r))
+
+
+def _best_merges(cell, m, B, proposals, rng):
+    """(delta_S, r, s) of the lowest (delta_S, s) among each block r's
+    `proposals` candidates, over the blocks with a candidate."""
+    r, s, dS = merge_candidates(cell, m, B, rng.random((B, proposals, 3)))
+    order = np.lexsort((s, dS, r))
+    best = order[np.flatnonzero(np.diff(r[order], prepend=-1))]
+    return list(zip(dS[best].tolist(), r[best].tolist(), s[best].tolist()))
+
+
+def merge_blocks(graph, partition, target_B, config, rng=None):
+    """Greedily merge blocks down to target_B and relabel to [0, target_B).
+
+    Every block's candidates are drawn and scored in one numpy pass
+    (`merge_candidates`), and each block's best enters a heap. The merges
+    are applied one at a time, cheapest first; a popped candidate is
+    re-scored against the live state first, and goes back on the heap if
+    earlier merges made it dearer than the next one. When the heap runs
+    dry, the pass runs again on the current groups.
+    Returns (partition, state).
+    """
     if target_B < 1:
         raise ValueError("target_B must be at least 1")
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     partition = partition.compact()
-    state = recompute_block_matrix(graph, partition)
     B = partition.num_blocks
     if target_B > B:
         raise ValueError(f"target_B={target_B} exceeds current B={B}")
+    cell, m, first = block_cells(graph, partition.assignment, B)
+    state = block_state(B, cell, m, first)
     if target_B == B:
         return partition, state
 
-    heap = []
-    for r in range(B):
-        best = None
-        for _ in range(config.merge_proposals_per_block):
-            s = _propose_merge_target(state, r, B, rng)
-            if s is None or s == r:
-                continue
-            dS = merge_delta_S(state, r, s)
-            if best is None or (dS, s) < best:
-                best = (dS, s)
-        if best is not None:
-            heap.append((best[0], r, best[1]))
+    P = config.merge_proposals_per_block
+    heap = _best_merges(cell, m, B, P, rng)
     heapq.heapify(heap)
-
     parent = list(range(B))
 
     def find(x):
@@ -614,15 +661,13 @@ def merge_blocks(graph, partition, state, target_B, config, rng=None):
     empty_refills = 0
     while merged < need:
         if not heap:
-            roots = [x for x in range(B) if find(x) == x]
-            for r in roots:
-                s = _propose_merge_target(state, r, B, rng)
-                if s is None:
-                    continue
-                s = find(s)
-                if s == r:
-                    continue
-                heapq.heappush(heap, (merge_delta_S(state, r, s), r, s))
+            roots, group = np.unique([find(x) for x in range(B)],
+                                     return_inverse=True)
+            cell, m, _ = block_cells(graph, group[partition.assignment],
+                                     len(roots))
+            heap = [(dS, int(roots[r]), int(roots[s])) for dS, r, s
+                    in _best_merges(cell, m, len(roots), P, rng)]
+            heapq.heapify(heap)
             if not heap:
                 empty_refills += 1
                 if empty_refills > 100:
@@ -714,10 +759,12 @@ def golden_section_search(graph, config, initial_partition=None):
         if above:
             _, start_key = min(above)
             part = Partition(cache[start_key][1].copy())
-            state = recompute_block_matrix(graph, part)
             if part.num_blocks > target:
-                part, state = merge_blocks(graph, part, state, target, config,
-                                           merge_rng)
+                # target_B by keyword: perfbench's tracer reads it from there
+                part, state = merge_blocks(graph, part, target_B=target,
+                                           config=config, rng=merge_rng)
+            else:
+                state = recompute_block_matrix(graph, part)
         else:
             _, start_key = max((v[2], k) for k, v in cache.items())
             part = _split_to(Partition(cache[start_key][1].copy()),

@@ -272,7 +272,12 @@ def recompute_block_matrix(graph, partition):
     if len(partition.assignment) != graph.num_nodes:
         raise ValueError("partition length does not match graph")
     B = partition.num_blocks
-    cell, m, first = block_cells(graph, partition.assignment, B)
+    return block_state(B, *block_cells(graph, partition.assignment, B))
+
+
+def block_state(B, cell, m, first):
+    """The BlockModelState over B blocks of the cells that `block_cells`
+    returns, in `recompute_block_matrix`'s row and column orders."""
     r, s = cell // B, cell % B
     rows = [dict() for _ in range(B)]
     cols = [dict() for _ in range(B)]
@@ -296,20 +301,20 @@ def move_delta(counts, r, s):
     w_self = counts.self_loop
     out_c, in_c = counts.out_counts, counts.in_counts
     # The node's out/in block maps after the move: its self-loop retargets s.
-    out_a = dict(out_c)
-    in_a = dict(in_c)
+    out_a, in_a = out_c, in_c
     if w_self:
+        out_a, in_a = dict(out_c), dict(in_c)
         out_a[r] = out_a.get(r, 0) - w_self
         out_a[s] = out_a.get(s, 0) + w_self
         in_a[r] = in_a.get(r, 0) - w_self
         in_a[s] = in_a.get(s, 0) + w_self
+    # the keys (r, t) and (s, t) are all new (r != s); the column updates
+    # below meet them at t = r or s
     delta = {}
     for t, w in out_c.items():
-        key = (r, t)
-        delta[key] = delta.get(key, 0) - w
+        delta[(r, t)] = -w
     for t, w in out_a.items():
-        key = (s, t)
-        delta[key] = delta.get(key, 0) + w
+        delta[(s, t)] = w
     for t, w in in_c.items():
         key = (t, r)
         delta[key] = delta.get(key, 0) - w

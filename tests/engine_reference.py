@@ -3,13 +3,34 @@
 The window entropy recomputes the log-posterior change of one move from the
 affected rows and columns of the states before and after it, in the
 uncollapsed form, so it shares no arithmetic with the engine's collapsed
-dS. The other helpers drive the engine's proposal and evaluation kernels
-one node at a time from a numpy Generator.
+dS. The nodal helpers drive the engine's proposal and evaluation kernels
+one node at a time from a numpy Generator, and report each proposal as a
+`ProposalOutcome`. The merge helpers draw and score one merge candidate at
+a time from the dict state: the oracles of the numpy candidate pass
+(`sbpart.engine.merge_candidates`).
 """
 import math
+from dataclasses import dataclass
 
-from sbpart.engine import ProposalOutcome, _evaluate, _propose
+from sbpart.engine import _evaluate, _propose
 from sbpart.graph import apply_delta
+
+
+@dataclass
+class ProposalOutcome:
+    node: int
+    current_block: int
+    proposed_block: int
+    delta_S: float
+    p_forward: float
+    p_backward: float
+    p_accept: float
+    accepted: bool
+
+
+def _outcome(i, evaluated):
+    r, s, commit, (dS, pf, pb, p_accept) = evaluated
+    return ProposalOutcome(i, r, s, dS, pf, pb, p_accept, commit is not None)
 
 
 def _window_entropy(row_r, row_s, col_r, col_s, r, s,
@@ -72,9 +93,10 @@ def nodal_update(i, partition, state, graph, config, rng):
     if graph.degree[i] == 0:
         return ProposalOutcome(i, r, r, 0.0, 0.0, 0.0, 0.0, False)
     u = rng.random(4)
-    outcome, commit = _evaluate(graph, partition.assignment, state,
-                                state.num_blocks, config.beta, i,
-                                u[0], u[1], u[2], u[3])
+    evaluated = _evaluate(graph, partition.assignment, state,
+                          state.num_blocks, config.beta, i,
+                          u[0], u[1], u[2], u[3])
+    outcome, commit = _outcome(i, evaluated), evaluated[2]
     if commit is not None:
         apply_delta(state, r, outcome.proposed_block, *commit)
         partition.assignment[i] = outcome.proposed_block
@@ -90,8 +112,84 @@ def snapshot_outcomes(graph, assignment, state, config, uniforms):
     for i in range(graph.num_nodes):
         if graph.degree[i] == 0:
             continue
-        o, _ = _evaluate(graph, assignment, state, B, config.beta, i,
-                         uniforms[i, 0], uniforms[i, 1],
-                         uniforms[i, 2], uniforms[i, 3])
-        out.append(o)
+        out.append(_outcome(i, _evaluate(graph, assignment, state, B,
+                                         config.beta, i, uniforms[i, 0],
+                                         uniforms[i, 1], uniforms[i, 2],
+                                         uniforms[i, 3])))
     return out
+
+
+def _draw_from_row(state, u, x):
+    """The first block t by id whose running weight in row u of M + M^T
+    exceeds x * d_u."""
+    comb = dict(state.rows[u])
+    for t, w in state.cols[u].items():
+        comb[t] = comb.get(t, 0) + w
+    thresh = x * int(state.d[u])
+    c = 0
+    t = u
+    for t in sorted(comb):
+        c += comb[t]
+        if c > thresh:
+            break
+    return t
+
+
+def propose_merge_target(state, r, B, u_nbr, u_coin, u_prop):
+    """One merge candidate for block r from three uniforms: a neighbour
+    block u of r (r itself when r has no edges), then a uniform block with
+    probability B / (d_u + B), else a block drawn from row u."""
+    u = _draw_from_row(state, r, u_nbr) if state.d[r] else r
+    if u_coin <= B / (int(state.d[u]) + B):
+        return min(int(u_prop * B), B - 1)
+    return _draw_from_row(state, u, u_prop)
+
+
+def _merge_window_after(state, r, s):
+    """Rows/cols of the window after merging block r into block s."""
+    row_s_a, col_s_a = {}, {}
+    for src in (state.rows[s], state.rows[r]):
+        for t, w in src.items():
+            tt = s if t == r else t
+            row_s_a[tt] = row_s_a.get(tt, 0) + w
+    for src in (state.cols[s], state.cols[r]):
+        for t, w in src.items():
+            tt = s if t == r else t
+            col_s_a[tt] = col_s_a.get(tt, 0) + w
+    return row_s_a, col_s_a
+
+
+def merge_delta_S(state, r, s):
+    """Log-posterior change of reassigning every node of block r to block s.
+
+    Uses the collapsed form of S (sum of w log w minus block-degree
+    entropies), so only the changed cells of rows/cols r and s enter.
+    """
+    rows, cols = state.rows, state.cols
+    dS = 0.0
+    for w in rows[r].values():
+        dS += w * math.log(w)
+    for w in rows[s].values():
+        dS += w * math.log(w)
+    for t, w in cols[r].items():
+        if t != r and t != s:
+            dS += w * math.log(w)
+    for t, w in cols[s].items():
+        if t != r and t != s:
+            dS += w * math.log(w)
+    row_s_a, col_s_a = _merge_window_after(state, r, s)
+    for w in row_s_a.values():
+        dS -= w * math.log(w)
+    for t, w in col_s_a.items():
+        if t != r and t != s:
+            dS -= w * math.log(w)
+    dor, dos = int(state.d_out[r]), int(state.d_out[s])
+    dir_, dis = int(state.d_in[r]), int(state.d_in[s])
+    for db in (dor, dos, dir_, dis):
+        if db:
+            dS -= db * math.log(db)
+    if dor + dos:
+        dS += (dor + dos) * math.log(dor + dos)
+    if dir_ + dis:
+        dS += (dir_ + dis) * math.log(dir_ + dis)
+    return dS

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from sbpart import engine
 from sbpart.engine import (MCMCConfig, description_length, entropy_sum,
                            golden_section_search, mcmc_sweep, merge_blocks,
                            merge_delta_S, run_mcmc, snapshot_proposals,
@@ -332,9 +333,8 @@ def test_snapshot_equals_batch_outcomes():
 def test_merge_to_single_block():
     g = three_cycle()
     p = Partition([0, 0, 1])
-    state = recompute_block_matrix(g, p)
     config = MCMCConfig()
-    p2, state2 = merge_blocks(g, p, state, 1, config)
+    p2, state2 = merge_blocks(g, p, 1, config)
     assert p2.num_blocks == 1
     assert state2.to_dense().tolist() == [[3]]
 
@@ -344,8 +344,7 @@ def test_merge_reunites_split_cliques():
     g = build_graph(edges)
     # each clique split across two blocks; merging to 2 must reunite them
     p = Partition([0, 0, 1, 1, 1, 2, 2, 3, 3, 3])
-    state = recompute_block_matrix(g, p)
-    p2, _ = merge_blocks(g, p, state, 2, MCMCConfig(rng_seed=1))
+    p2, _ = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1))
     a = p2.assignment
     assert len(set(a[:5].tolist())) == 1
     assert len(set(a[5:].tolist())) == 1
@@ -374,11 +373,53 @@ def test_merge_delta_matches_full_recompute():
 def test_merge_rejects_bad_target():
     g = three_cycle()
     p = Partition([0, 1, 2])
-    state = recompute_block_matrix(g, p)
     with pytest.raises(ValueError):
-        merge_blocks(g, p, state, 0, MCMCConfig())
+        merge_blocks(g, p, 0, MCMCConfig())
     with pytest.raises(ValueError):
-        merge_blocks(g, p, state, 5, MCMCConfig())
+        merge_blocks(g, p, 5, MCMCConfig())
+
+
+def test_merge_refill_uses_current_groups(monkeypatch):
+    """A first round that offers block 0's candidates only: after that
+    merge the heap is dry, and the refill's round over the three groups
+    left must still reunite the two split cliques."""
+    edges = directed_clique(5) + directed_clique(5, offset=5)
+    g = build_graph(edges)
+    p = Partition([0, 0, 1, 1, 1, 2, 2, 3, 3, 3])
+    original = engine.merge_candidates
+    rounds = []
+
+    def first_round_block_0(*args):
+        r, s, dS = original(*args)
+        keep = r == 0 if not rounds else np.ones(len(r), dtype=bool)
+        rounds.append(args[2])
+        return r[keep], s[keep], dS[keep]
+    monkeypatch.setattr(engine, "merge_candidates", first_round_block_0)
+    p2, _ = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1))
+    assert rounds[:2] == [4, 3]
+    a = p2.assignment
+    assert len(set(a[:5].tolist())) == 1
+    assert len(set(a[5:].tolist())) == 1
+    assert a[0] != a[5]
+
+
+def test_merge_round_without_candidates(monkeypatch):
+    """Two blocks joined only to themselves: every proposal draws its own
+    block, so no round has a candidate. merge_blocks refills the empty
+    heap from new rounds, then gives up with a ValueError."""
+    g = build_graph([(0, 0, 10**6), (1, 1, 10**6)])
+    rounds = []
+    original = engine.merge_candidates
+
+    def counted(*args):
+        result = original(*args)
+        rounds.append(len(result[0]))
+        return result
+    monkeypatch.setattr(engine, "merge_candidates", counted)
+    with pytest.raises(ValueError,
+                       match="unable to find further merge candidates"):
+        merge_blocks(g, Partition([0, 1]), 1, MCMCConfig())
+    assert len(rounds) > 1 and not any(rounds)
 
 
 # ---------------------------------------------------------------------------
