@@ -5,7 +5,7 @@ correctness/throughput metrics, and staged streaming sessions."""
 __version__ = "0.1.0"
 
 from .graph import Graph, Partition, BlockModelState, build_graph
-from .engine import (MCMCConfig, description_length, entropy_sum,
+from .engine import (MCMCConfig, description_length,
                      golden_section_search, run_mcmc, mcmc_sweep,
                      merge_blocks, warm_start, split_partition)
 from .generator import GeneratorConfig, GeneratedGraph, generate, \
@@ -20,7 +20,7 @@ from .streaming import StreamingSession, ingest_stage, partition_stage, \
 __all__ = [
     "__version__",
     "Graph", "Partition", "BlockModelState", "build_graph",
-    "MCMCConfig", "description_length", "entropy_sum",
+    "MCMCConfig", "description_length",
     "golden_section_search", "run_mcmc", "mcmc_sweep", "merge_blocks",
     "warm_start", "split_partition",
     "GeneratorConfig", "GeneratedGraph", "generate",

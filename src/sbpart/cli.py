@@ -150,7 +150,7 @@ def cmd_stream(args):
     for k in range(1, args.stages + 1):
         batches.append(read_edge_tsv(f"{args.prefix}_stage_{k}.tsv"))
     truth = read_assignment_tsv(args.truth) if args.truth else None
-    mask = read_mask_tsv(args.mask, len(truth)) if args.mask and truth else None
+    mask = read_mask_tsv(args.mask, len(truth)) if args.mask else None
     session = run_stream(batches, config=config, truth=truth,
                          generated_mask=mask,
                          cold_each_stage=args.cold_each_stage)
@@ -285,6 +285,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "mask", None) and not args.truth:
+        parser.error("--mask needs --truth")
     try:
         return args.func(args)
     except DataError as exc:

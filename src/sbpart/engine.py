@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    BlockModelState,
     Partition,
     _bump,
     apply_delta,
     block_cells,
-    block_state,
     move_delta,
     node_block_edge_counts,
     recompute_block_matrix,
@@ -77,28 +77,19 @@ def _h(x):
     return (1.0 + x) * math.log(1.0 + x) - x * math.log(x)
 
 
-def entropy_sum(state):
-    """S = sum M log(M / (d_out d_in)) over all nonzero entries of M."""
-    log = math.log
-    d_in = state.d_in
-    tot = 0.0
-    for r, row in enumerate(state.rows):
-        do = state.d_out[r]
-        for t, w in row.items():
-            if w > 0:
-                tot += w * log(w / (do * d_in[t]))
-    return tot
-
-
-def description_length(state, num_nodes, total_edge_weight):
-    """Total description length H of the model plus the graph given the model."""
-    B = state.num_blocks
+def description_length(graph, partition):
+    """Total description length H of the model plus the graph given the
+    model, read from M's sorted cells: S = sum M log(M / (d_out d_in)) is
+    sum m log m - sum d_out log d_out - sum d_in log d_in."""
+    N, E, B = graph.num_nodes, graph.total_edge_weight, partition.num_blocks
     if B < 1:
-        raise ValueError("state has no blocks")
-    if total_edge_weight == 0:
-        return num_nodes * math.log(B) if B > 1 else 0.0
-    E = total_edge_weight
-    return (E * _h(B * B / E) + num_nodes * math.log(B) - entropy_sum(state))
+        raise ValueError("partition has no blocks")
+    if E == 0:
+        return N * math.log(B) if B > 1 else 0.0
+    cell, m, _ = block_cells(graph, partition.assignment, B)
+    S = (_xlogx(m).sum() - _xlogx(np.bincount(cell // B, weights=m)).sum()
+         - _xlogx(np.bincount(cell % B, weights=m)).sum())
+    return E * _h(B * B / E) + N * math.log(B) - float(S)
 
 
 def _sweep_uniforms(seed, sweep_index, num_nodes):
@@ -415,16 +406,15 @@ def _score_moves(graph, b, B, nodes, r, s, size, get_m, d_out, d_in, d):
 def mcmc_sweep(graph, partition, state, config, sweep_index=0):
     """One full pass of nodal updates, in one of two sweeps.
 
-    sequential: nodes visited in random order against the live state; each
-    accepted move updates M in place.
-    batch: every node is evaluated against the frozen sweep-start state in
-    one numpy pass (`snapshot_proposals`); the accepted moves are applied
-    at a barrier and M is rebuilt once.
+    sequential: nodes visited in random order against the live dict state
+    of M; each accepted move updates it in place.
+    batch: every node is evaluated against the frozen sweep-start labelling
+    in one numpy pass (`snapshot_proposals`); the accepted moves are
+    applied at a barrier. It reads no state and returns None for it.
     Both replay the same counter-based draws for a given sweep_index.
     Returns (partition, state, H_after, num_accepted).
     """
     N = graph.num_nodes
-    E = graph.total_edge_weight
     U = _sweep_uniforms(config.rng_seed, sweep_index, N)
     b = partition.assignment
     if config.execution_mode == "sequential":
@@ -441,23 +431,25 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0):
                 apply_delta(state, r, s, *commit)
                 b[i] = s
                 accepted += 1
-        return partition, state, description_length(state, N, E), accepted
+        return (partition, state, description_length(graph, partition),
+                accepted)
     nodes, proposed, accepted, _, _ = snapshot_proposals(
-        graph, b, state.num_blocks, config.beta, U)
+        graph, b, partition.num_blocks, config.beta, U)
     b[nodes[accepted]] = proposed[accepted]
-    state = recompute_block_matrix(graph, partition)
-    return (partition, state, description_length(state, N, E),
+    return (partition, None, description_length(graph, partition),
             int(np.count_nonzero(accepted)))
 
 
-def run_mcmc(graph, partition, state, config, sweep_base=0, sweep_cap=None):
+def run_mcmc(graph, partition, config, sweep_base=0, sweep_cap=None):
     """Sweep until the windowed relative improvement in H drops below the
-    convergence threshold, or the sweep budget is hit."""
-    N = graph.num_nodes
-    E = graph.total_edge_weight
+    convergence threshold, or the sweep budget is hit. The sequential sweep
+    edits a dict state of M, built here; the batch sweep needs none.
+    Returns (partition relabelled to its used blocks, H, sweeps)."""
     cap = config.max_sweeps if sweep_cap is None \
         else min(sweep_cap, config.max_sweeps)
-    H = description_length(state, N, E)
+    state = recompute_block_matrix(graph, partition) \
+        if config.execution_mode == "sequential" else None
+    H = description_length(graph, partition)
     window = deque(maxlen=config.convergence_window)
     sweeps = 0
     for t in range(cap):
@@ -469,7 +461,10 @@ def run_mcmc(graph, partition, state, config, sweep_base=0, sweep_cap=None):
         if len(window) == window.maxlen and \
                 sum(window) / len(window) < config.convergence_threshold:
             break
-    return partition, state, H, sweeps
+    compacted = partition.compact()
+    if compacted.num_blocks != partition.num_blocks:
+        H = description_length(graph, compacted)
+    return compacted, H, sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +625,7 @@ def merge_blocks(graph, partition, target_B, config, rng=None):
     re-scored against the live state first, and goes back on the heap if
     earlier merges made it dearer than the next one. When the heap runs
     dry, the pass runs again on the current groups.
-    Returns (partition, state).
+    Returns the merged partition.
     """
     if target_B < 1:
         raise ValueError("target_B must be at least 1")
@@ -640,10 +635,10 @@ def merge_blocks(graph, partition, target_B, config, rng=None):
     B = partition.num_blocks
     if target_B > B:
         raise ValueError(f"target_B={target_B} exceeds current B={B}")
-    cell, m, first = block_cells(graph, partition.assignment, B)
-    state = block_state(B, cell, m, first)
     if target_B == B:
-        return partition, state
+        return partition
+    cell, m, first = block_cells(graph, partition.assignment, B)
+    state = BlockModelState.from_cells(B, cell, m, first)
 
     P = config.merge_proposals_per_block
     heap = _best_merges(cell, m, B, P, rng)
@@ -693,7 +688,7 @@ def merge_blocks(graph, partition, target_B, config, rng=None):
     roots = np.fromiter((find(x) for x in range(B)), dtype=np.int64, count=B)
     new_partition = Partition(roots[partition.assignment], B).compact()
     assert new_partition.num_blocks == target_B
-    return new_partition, recompute_block_matrix(graph, new_partition)
+    return new_partition
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +728,6 @@ def golden_section_search(graph, config, initial_partition=None):
     N = graph.num_nodes
     if N == 0:
         raise ValueError("empty graph")
-    E = graph.total_edge_weight
     merge_rng = np.random.default_rng([config.rng_seed, 0xB10C])
     split_rng = np.random.default_rng([config.rng_seed, 0x5B117])
     sweep_counter = [0]
@@ -743,10 +737,8 @@ def golden_section_search(graph, config, initial_partition=None):
         part0 = Partition.identity(N)
     else:
         part0 = initial_partition.compact()
-    state0 = recompute_block_matrix(graph, part0)
     B0 = part0.num_blocks
-    cache[B0] = [description_length(state0, N, E),
-                 part0.assignment.copy(), B0]
+    cache[B0] = [description_length(graph, part0), part0.assignment, B0]
     # A given start (a warm start's split partition) has had no MCMC yet:
     # its H must not bound the bracket, so the first probe at B0 relaxes it
     # and replaces the entry.
@@ -761,24 +753,17 @@ def golden_section_search(graph, config, initial_partition=None):
             part = Partition(cache[start_key][1].copy())
             if part.num_blocks > target:
                 # target_B by keyword: perfbench's tracer reads it from there
-                part, state = merge_blocks(graph, part, target_B=target,
-                                           config=config, rng=merge_rng)
-            else:
-                state = recompute_block_matrix(graph, part)
+                part = merge_blocks(graph, part, target_B=target,
+                                    config=config, rng=merge_rng)
         else:
             _, start_key = max((v[2], k) for k, v in cache.items())
             part = _split_to(Partition(cache[start_key][1].copy()),
                              target, split_rng)
-            state = recompute_block_matrix(graph, part)
-        part, state, H, sweeps = run_mcmc(graph, part, state, config,
-                                          sweep_base=sweep_counter[0],
-                                          sweep_cap=config.probe_sweeps)
+        part, H, sweeps = run_mcmc(graph, part, config,
+                                   sweep_base=sweep_counter[0],
+                                   sweep_cap=config.probe_sweeps)
         sweep_counter[0] += sweeps
-        compacted = part.compact()
-        if compacted.num_blocks != state.num_blocks:
-            state = recompute_block_matrix(graph, compacted)
-            H = description_length(state, N, E)
-        entry = [H, compacted.assignment.copy(), compacted.num_blocks]
+        entry = [H, part.assignment, part.num_blocks]
         if target not in cache or target in unrelaxed or cache[target][0] > H:
             cache[target] = entry
         unrelaxed.discard(target)
@@ -845,16 +830,10 @@ def golden_section_search(graph, config, initial_partition=None):
 
     # polish the winner to full convergence (probes run on a sweep budget)
     best = min(cache.values(), key=lambda v: (v[0], v[2]))
-    part = Partition(best[1].copy())
-    state = recompute_block_matrix(graph, part)
-    part, state, H, _ = run_mcmc(graph, part, state, config,
-                                 sweep_base=sweep_counter[0])
-    compacted = part.compact()
-    if compacted.num_blocks != state.num_blocks:
-        state = recompute_block_matrix(graph, compacted)
-        H = description_length(state, N, E)
+    part, H, _ = run_mcmc(graph, Partition(best[1].copy()), config,
+                          sweep_base=sweep_counter[0])
     if H <= best[0]:
-        return compacted, compacted.num_blocks, H
+        return part, part.num_blocks, H
     return Partition(best[1]), best[2], best[0]
 
 
@@ -883,8 +862,7 @@ def warm_start(previous, graph_now):
         else:
             a[i] = next_block
             next_block += 1
-    part = Partition(a, next_block)
-    return part, recompute_block_matrix(graph_now, part)
+    return Partition(a, next_block)
 
 
 def split_partition(partition, rng, factor=2):

@@ -1,9 +1,10 @@
 """Directed weighted graph, block partition, and inter-block edge-count state.
 
 The block model's sufficient statistic is the B x B inter-block edge-count
-matrix M together with the per-block in/out degree vectors. M is kept sparse
-(one dict per row, mirrored per column) and is maintained exactly under
-single-node moves without recomputation.
+matrix M together with the per-block in/out degree vectors. M is counted as
+its sorted nonzero cells (`block_cells`); the loops that edit M in place hold
+it as a dict state (one dict per row, mirrored per column), which single-node
+moves keep exact without recomputation.
 """
 from __future__ import annotations
 
@@ -182,9 +183,6 @@ class BlockModelState:
     def num_blocks(self):
         return len(self.rows)
 
-    def get(self, r, s):
-        return self.rows[r].get(s, 0)
-
     def to_dense(self):
         B = self.num_blocks
         m = np.zeros((B, B), dtype=np.int64)
@@ -197,6 +195,24 @@ class BlockModelState:
         return BlockModelState([dict(r) for r in self.rows],
                                [dict(c) for c in self.cols],
                                self.d_out.copy(), self.d_in.copy())
+
+    @classmethod
+    def from_cells(cls, B, cell, m, first):
+        """The state over B blocks of the cells that `block_cells` returns.
+        Row r lists its blocks as the (source, target)-sorted edges first
+        reach them, and column s by id."""
+        r, s = cell // B, cell % B
+        rows = [dict() for _ in range(B)]
+        cols = [dict() for _ in range(B)]
+        by_first = np.argsort(first)
+        for t1, t2, x in zip(r[by_first].tolist(), s[by_first].tolist(),
+                             m[by_first].tolist()):
+            rows[t1][t2] = x
+        for t1, t2, x in zip(r.tolist(), s.tolist(), m.tolist()):
+            cols[t2][t1] = x
+        d_out = np.bincount(r, weights=m, minlength=B).astype(np.int64)
+        d_in = np.bincount(s, weights=m, minlength=B).astype(np.int64)
+        return cls(rows, cols, d_out, d_in)
 
 
 @dataclass
@@ -259,6 +275,8 @@ def block_cells(graph, assignment, B):
     """The nonzero cells of M = Gamma^T A Gamma for the labelling
     `assignment` over B blocks: their sorted keys r * B + s, their weights,
     and the index of the first (source, target)-sorted edge in each."""
+    if len(assignment) != graph.num_nodes:
+        raise ValueError("partition length does not match graph")
     src, dst, w = graph._edge_arrays()
     key = assignment[src] * B + assignment[dst]
     order, start = runs(key)
@@ -266,30 +284,11 @@ def block_cells(graph, assignment, B):
 
 
 def recompute_block_matrix(graph, partition):
-    """Full M = Gamma^T A Gamma recomputation with degree vectors. Row r
-    lists its blocks as the (source, target)-sorted edges first reach them,
-    and column s by id."""
-    if len(partition.assignment) != graph.num_nodes:
-        raise ValueError("partition length does not match graph")
+    """Full M = Gamma^T A Gamma recomputation with degree vectors, as the
+    dict state."""
     B = partition.num_blocks
-    return block_state(B, *block_cells(graph, partition.assignment, B))
-
-
-def block_state(B, cell, m, first):
-    """The BlockModelState over B blocks of the cells that `block_cells`
-    returns, in `recompute_block_matrix`'s row and column orders."""
-    r, s = cell // B, cell % B
-    rows = [dict() for _ in range(B)]
-    cols = [dict() for _ in range(B)]
-    by_first = np.argsort(first)
-    for t1, t2, x in zip(r[by_first].tolist(), s[by_first].tolist(),
-                         m[by_first].tolist()):
-        rows[t1][t2] = x
-    for t1, t2, x in zip(r.tolist(), s.tolist(), m.tolist()):
-        cols[t2][t1] = x
-    d_out = np.bincount(r, weights=m, minlength=B).astype(np.int64)
-    d_in = np.bincount(s, weights=m, minlength=B).astype(np.int64)
-    return BlockModelState(rows, cols, d_out, d_in)
+    return BlockModelState.from_cells(
+        B, *block_cells(graph, partition.assignment, B))
 
 
 def move_delta(counts, r, s):
@@ -347,7 +346,7 @@ def apply_move(state, i, from_block, to_block, counts):
     r, s = from_block, to_block
     if r == s:
         raise ValueError("no-op move: from_block equals to_block")
-    return apply_delta(state, r, s, *move_delta(counts, r, s))
+    apply_delta(state, r, s, *move_delta(counts, r, s))
 
 
 def apply_delta(state, r, s, delta, ki_out, ki_in):
@@ -365,4 +364,3 @@ def apply_delta(state, r, s, delta, ki_out, ki_in):
     state.d_in[s] += ki_in
     state.d[r] -= ki_out + ki_in
     state.d[s] += ki_out + ki_in
-    return state

@@ -9,7 +9,7 @@ Entropies are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -226,7 +226,6 @@ class ComputationalReport:
     peak_memory_bytes: int | None = None
     energy_watts: None = None              # not measured
     rate_per_watt: None = None             # not measured
-    per_stage: list = field(default_factory=list)
 
     def to_dict(self):
         return asdict(self)
@@ -242,22 +241,14 @@ def peak_memory_bytes():
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
 
 
-def computational_report(num_edges, elapsed_seconds, num_workers=1,
-                         memory_probe=True, stages=None):
+def computational_report(num_edges, elapsed_seconds, num_workers=1):
     """Throughput report: rate = edges processed per second."""
     if elapsed_seconds <= 0:
         raise ValueError("elapsed_seconds must be positive")
-    per_stage = []
-    if stages:
-        for k, (e, sec) in enumerate(stages, start=1):
-            per_stage.append({"stage": k, "num_edges": int(e),
-                              "elapsed_seconds": float(sec),
-                              "rate_edges_per_second": e / sec if sec > 0 else None})
     return ComputationalReport(
         num_edges=int(num_edges),
         elapsed_seconds=float(elapsed_seconds),
         rate_edges_per_second=num_edges / elapsed_seconds,
         num_workers=num_workers,
-        peak_memory_bytes=peak_memory_bytes() if memory_probe else None,
-        per_stage=per_stage,
+        peak_memory_bytes=peak_memory_bytes(),
     )

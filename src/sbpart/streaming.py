@@ -93,7 +93,7 @@ def partition_stage(session, config=None):
     if session.partition is None or session.cold_each_stage:
         initial = None
     else:
-        warm, _ = warm_start(session.partition, graph)
+        warm = warm_start(session.partition, graph)
         split_rng = np.random.default_rng(
             [config.rng_seed, 0x5EED, session.stage_index])
         initial = split_partition(warm, split_rng, factor=2)

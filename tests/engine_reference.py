@@ -1,6 +1,8 @@
 """Test-only oracles for the engine's move maths.
 
-The window entropy recomputes the log-posterior change of one move from the
+`entropy_sum` and `description_length` walk the dict state one entry at a
+time: the H oracle of `sbpart.engine.description_length`, which reads M's
+sorted cells in one numpy expression. The window entropy recomputes the log-posterior change of one move from the
 affected rows and columns of the states before and after it, in the
 uncollapsed form, so it shares no arithmetic with the engine's collapsed
 dS. The nodal helpers drive the engine's proposal and evaluation kernels
@@ -26,6 +28,27 @@ class ProposalOutcome:
     p_backward: float
     p_accept: float
     accepted: bool
+
+
+def entropy_sum(state):
+    """S = sum M log(M / (d_out d_in)) over all nonzero entries of M."""
+    tot = 0.0
+    for r, row in enumerate(state.rows):
+        for t, w in row.items():
+            if w > 0:
+                tot += w * math.log(w / (state.d_out[r] * state.d_in[t]))
+    return tot
+
+
+def description_length(state, num_nodes, total_edge_weight):
+    """H = E h(B^2 / E) + N log B - S of the dict state, where
+    h(x) = (1 + x) log(1 + x) - x log x."""
+    B, E = state.num_blocks, total_edge_weight
+    if E == 0:
+        return num_nodes * math.log(B) if B > 1 else 0.0
+    x = B * B / E
+    return (E * ((1 + x) * math.log(1 + x) - x * math.log(x))
+            + num_nodes * math.log(B) - entropy_sum(state))
 
 
 def _outcome(i, evaluated):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sbpart.cli import bench_rows
-from sbpart.engine import (MCMCConfig, entropy_sum, golden_section_search,
+from sbpart.engine import (MCMCConfig, golden_section_search,
                            snapshot_proposals, _sweep_uniforms)
 from sbpart.generator import (GeneratorConfig, emit_streaming_stages,
                               generate, generate_edges,
@@ -26,7 +26,8 @@ from sbpart.metrics import build_contingency, correctness_report, \
 from sbpart.streaming import run_stream
 
 from conftest import random_graph, random_partition
-from engine_reference import delta_log_posterior, snapshot_outcomes
+from engine_reference import (delta_log_posterior, entropy_sum,
+                              snapshot_outcomes)
 
 
 def _report(num, ok, detail):

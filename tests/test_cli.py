@@ -266,6 +266,21 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "beta must be positive" in capsys.readouterr().err
 
 
+def test_mask_without_truth_is_usage_error(tmp_path, capsys):
+    """A mask only filters the truth comparison: without --truth it is a
+    usage error, reported before any input file is read."""
+    missing = str(tmp_path / "missing.tsv")
+    for argv in (["partition", missing, "-o", str(tmp_path / "x"),
+                  "--mask", "/nonexistent"],
+                 ["stream", str(tmp_path / "nostream"), "--stages", "2",
+                  "--mask", "/nonexistent"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--mask needs --truth" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_exit_code_data_value_error(tmp_path):
     """A ValueError raised by the input data stays a data error."""
     mask_file = tmp_path / "mask.tsv"

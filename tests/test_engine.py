@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chisquare
 
 from sbpart import engine
-from sbpart.engine import (MCMCConfig, description_length, entropy_sum,
+from sbpart.engine import (MCMCConfig, description_length,
                            golden_section_search, mcmc_sweep, merge_blocks,
                            merge_delta_S, run_mcmc, snapshot_proposals,
                            split_partition, warm_start, _sweep_uniforms)
@@ -15,8 +15,9 @@ from sbpart.graph import (BlockModelState, Partition, apply_move, build_graph,
 
 from batch_reference import batch_outcomes
 from conftest import random_graph, random_partition
-from engine_reference import (delta_log_posterior, hastings_correction,
-                              nodal_update, propose_block)
+import engine_reference as ref
+from engine_reference import (delta_log_posterior, entropy_sum,
+                              hastings_correction, nodal_update, propose_block)
 
 
 def directed_clique(nodes, offset=0):
@@ -33,16 +34,14 @@ def three_cycle():
 
 def test_description_length_one_edge_one_block():
     g = build_graph([(0, 1, 1)])
-    state = recompute_block_matrix(g, Partition([0, 0], 1))
-    h = description_length(state, 2, g.total_edge_weight)
+    h = description_length(g, Partition([0, 0], 1))
     # B=1: h(1) = 2 ln 2, no block-label or posterior terms
     assert h == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_description_length_one_edge_two_blocks():
     g = build_graph([(0, 1, 1)])
-    state = recompute_block_matrix(g, Partition([0, 1]))
-    h = description_length(state, 2, g.total_edge_weight)
+    h = description_length(g, Partition([0, 1]))
     # E h(4) + 2 ln 2 - S with S = 1 * ln(1 / (1*1)) = 0
     expect = (5 * math.log(5) - 4 * math.log(4)) + 2 * math.log(2)
     assert h == pytest.approx(expect, abs=1e-12)
@@ -50,10 +49,16 @@ def test_description_length_one_edge_two_blocks():
 
 
 def test_description_length_zero_edges():
-    state = BlockModelState([{}, {}], [{}, {}],
-                            np.zeros(2, dtype=np.int64),
-                            np.zeros(2, dtype=np.int64))
-    assert description_length(state, 7, 0) == pytest.approx(7 * math.log(2))
+    g = build_graph([], num_nodes=7)
+    p = Partition([0, 1, 0, 0, 1, 0, 0])
+    assert description_length(g, p) == pytest.approx(7 * math.log(2))
+
+
+def test_description_length_rejects_wrong_length():
+    g = three_cycle()
+    for labels in ([0, 0], [0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="does not match"):
+            description_length(g, Partition(labels, 1))
 
 
 def test_entropy_sum_zero_when_counts_factorize():
@@ -277,9 +282,12 @@ def test_sweep_state_consistency(mode):
         state = recompute_block_matrix(g, p)
         p, state, h, _ = mcmc_sweep(g, p, state, config, sweep_index=0)
         fresh = recompute_block_matrix(g, p)
-        assert np.array_equal(state.to_dense(), fresh.to_dense())
-        assert h == pytest.approx(
-            description_length(fresh, g.num_nodes, g.total_edge_weight))
+        if mode == "sequential":
+            assert np.array_equal(state.to_dense(), fresh.to_dense())
+        else:
+            assert state is None   # the batch sweep keeps no dict state
+        assert h == pytest.approx(ref.description_length(
+            fresh, g.num_nodes, g.total_edge_weight), rel=1e-12)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
@@ -334,9 +342,9 @@ def test_merge_to_single_block():
     g = three_cycle()
     p = Partition([0, 0, 1])
     config = MCMCConfig()
-    p2, state2 = merge_blocks(g, p, 1, config)
+    p2 = merge_blocks(g, p, 1, config)
     assert p2.num_blocks == 1
-    assert state2.to_dense().tolist() == [[3]]
+    assert recompute_block_matrix(g, p2).to_dense().tolist() == [[3]]
 
 
 def test_merge_reunites_split_cliques():
@@ -344,7 +352,7 @@ def test_merge_reunites_split_cliques():
     g = build_graph(edges)
     # each clique split across two blocks; merging to 2 must reunite them
     p = Partition([0, 0, 1, 1, 1, 2, 2, 3, 3, 3])
-    p2, _ = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1))
+    p2 = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1))
     a = p2.assignment
     assert len(set(a[:5].tolist())) == 1
     assert len(set(a[5:].tolist())) == 1
@@ -395,7 +403,7 @@ def test_merge_refill_uses_current_groups(monkeypatch):
         rounds.append(args[2])
         return r[keep], s[keep], dS[keep]
     monkeypatch.setattr(engine, "merge_candidates", first_round_block_0)
-    p2, _ = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1))
+    p2 = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1))
     assert rounds[:2] == [4, 3]
     a = p2.assignment
     assert len(set(a[:5].tolist())) == 1
@@ -441,9 +449,8 @@ def test_search_single_clique():
     config = MCMCConfig(rng_seed=0, max_sweeps=30)
     _, best_B, best_H = golden_section_search(g, config)
     assert best_B == 1
-    state = recompute_block_matrix(g, Partition(np.zeros(10, dtype=np.int64), 1))
     assert best_H == pytest.approx(
-        description_length(state, 10, g.total_edge_weight))
+        description_length(g, Partition(np.zeros(10, dtype=np.int64), 1)))
 
 
 def test_search_beats_trivial_block_counts():
@@ -452,12 +459,8 @@ def test_search_beats_trivial_block_counts():
     config = MCMCConfig(rng_seed=0, max_sweeps=20)
     _, _, best_H = golden_section_search(g, config)
     n = g.num_nodes
-    h1 = description_length(
-        recompute_block_matrix(g, Partition(np.zeros(n, dtype=np.int64), 1)),
-        n, g.total_edge_weight)
-    hn = description_length(
-        recompute_block_matrix(g, Partition.identity(n)),
-        n, g.total_edge_weight)
+    h1 = description_length(g, Partition(np.zeros(n, dtype=np.int64), 1))
+    hn = description_length(g, Partition.identity(n))
     assert best_H <= h1 + 1e-9
     assert best_H <= hn + 1e-9
 
@@ -486,9 +489,9 @@ def test_search_climbs_from_underspecified_start():
 def test_warm_start_unchanged_graph():
     g = three_cycle()
     p = Partition([0, 0, 1])
-    part, state = warm_start(p, g)
+    part = warm_start(p, g)
     assert np.array_equal(part.assignment, p.assignment)
-    assert np.array_equal(state.to_dense(),
+    assert np.array_equal(recompute_block_matrix(g, part).to_dense(),
                           recompute_block_matrix(g, p).to_dense())
 
 
@@ -496,14 +499,14 @@ def test_warm_start_new_node_joins_neighbor_block():
     g_old = build_graph([(0, 1, 1), (2, 3, 1)])
     p = Partition([0, 0, 3, 3], 4)
     g_new = build_graph([(0, 1, 1), (2, 3, 1), (4, 3, 2), (4, 0, 1)])
-    part, _ = warm_start(p, g_new)
+    part = warm_start(p, g_new)
     assert part.assignment[4] == 3   # heavier tie to block 3
 
 
 def test_warm_start_isolated_new_node_gets_fresh_block():
     p = Partition([0, 0], 1)
     g_new = build_graph([(0, 1, 1)], num_nodes=3)
-    part, _ = warm_start(p, g_new)
+    part = warm_start(p, g_new)
     assert part.assignment[2] == 1
     assert part.num_blocks == 2
 
@@ -513,7 +516,7 @@ def test_warm_start_tie_goes_to_lowest_id():
     # equal weights; the table lists out-neighbour 1 before in-neighbour 0
     p = Partition([1, 0])
     g_new = build_graph([(0, 1, 1), (2, 1, 1), (0, 2, 1)])
-    part, _ = warm_start(p, g_new)
+    part = warm_start(p, g_new)
     assert list(part.assignment[:2]) == [1, 0]
     assert part.assignment[2] == 1
 
@@ -551,11 +554,9 @@ def test_config_validation():
 def test_run_mcmc_converges_flag():
     g = build_graph(directed_clique(6))
     p = Partition(np.zeros(6, dtype=np.int64), 1)
-    state = recompute_block_matrix(g, p)
     config = MCMCConfig(rng_seed=0, max_sweeps=50)
-    _, _, h, sweeps = run_mcmc(g, p, state, config)
+    p, h, sweeps = run_mcmc(g, p, config)
     # one-block partition of a clique is already optimal; converges quickly
     assert sweeps <= config.max_sweeps
-    assert h == pytest.approx(
-        description_length(recompute_block_matrix(g, p), 6,
-                           g.total_edge_weight))
+    assert h == pytest.approx(ref.description_length(
+        recompute_block_matrix(g, p), 6, g.total_edge_weight))

@@ -192,10 +192,3 @@ def test_computational_report_arithmetic():
     assert rep.energy_watts is None and rep.rate_per_watt is None
     with pytest.raises(ValueError):
         computational_report(10, 0.0)
-
-
-def test_computational_report_stages():
-    rep = computational_report(300, 3.0, stages=[(100, 1.0), (100, 1.0),
-                                                 (100, 1.0)])
-    assert len(rep.per_stage) == 3
-    assert rep.per_stage[0]["rate_edges_per_second"] == pytest.approx(100.0)
