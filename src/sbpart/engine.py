@@ -714,15 +714,22 @@ def _split_to(partition, target, rng):
     return Partition(a, B)
 
 
-def golden_section_search(graph, config, initial_partition=None):
+def golden_section_search(graph, config, initial_partition=None, trace=None):
     """Find the partition minimizing description length across block counts.
 
-    Starts from one-block-per-node (or the given initial partition), halves B
-    via merge phases until a 3-point bracket around the minimum appears, then
-    narrows with golden-section steps on integer B. Each probe warm-starts
-    from the cached partition with the closest higher block count. When an
-    initial partition sits below the optimum, a doubling expansion phase
-    (random block splits + MCMC) climbs first.
+    A cold search starts from one block per node, halves B via merge phases
+    until a 3-point bracket around the minimum appears, then narrows with
+    golden-section steps on integer B. Each probe warm-starts from the
+    cached partition with the closest higher block count.
+    A warm search (a given initial partition, B0 blocks) first relaxes the
+    start with one probe at B0, unless B0 = 1, and halves from there the
+    same way. It climbs above B0 by doubling (random block splits + MCMC)
+    until H turns upward only when the start looks under-split: the first
+    halving step already rises, the halving reaches B = 1 without an
+    upturn, or B0 = 1. The climb then brackets (lo, peak, first rise).
+    If `trace` is a list, one dict per MCMC probe is appended to it:
+    phase (relax, halve, climb, golden or polish), target, start_B, B, H
+    and sweeps. It never changes the result.
     Returns (best_partition, best_B, best_H).
     """
     N = graph.num_nodes
@@ -733,19 +740,29 @@ def golden_section_search(graph, config, initial_partition=None):
     sweep_counter = [0]
     cache = {}  # probe target -> [H, assignment, actual_B]
 
-    if initial_partition is None:
-        part0 = Partition.identity(N)
-    else:
-        part0 = initial_partition.compact()
-    B0 = part0.num_blocks
-    cache[B0] = [description_length(graph, part0), part0.assignment, B0]
-    # A given start (a warm start's split partition) has had no MCMC yet:
-    # its H must not bound the bracket, so the first probe at B0 relaxes it
-    # and replaces the entry.
-    unrelaxed = {B0} if initial_partition is not None else set()
+    def probe(part, phase, target, cap=config.probe_sweeps):
+        start_B = part.num_blocks
+        part, H, sweeps = run_mcmc(graph, part, config,
+                                   sweep_base=sweep_counter[0], sweep_cap=cap)
+        sweep_counter[0] += sweeps
+        if trace is not None:
+            trace.append({"phase": phase, "target": target, "start_B": start_B,
+                          "B": part.num_blocks, "H": H, "sweeps": sweeps})
+        return part, H
 
-    def run_at(target):
-        if target in cache and target not in unrelaxed:
+    warm = initial_partition is not None
+    part0 = initial_partition.compact() if warm else Partition.identity(N)
+    B0 = part0.num_blocks
+    if warm and B0 > 1:
+        # a split warm start has had no MCMC yet: relax it before its H
+        # bounds anything
+        part0, H0 = probe(part0, "relax", B0)
+    else:
+        H0 = description_length(graph, part0)
+    cache[B0] = [H0, part0.assignment, part0.num_blocks]
+
+    def run_at(target, phase):
+        if target in cache:
             return cache[target][0]
         above = [(v[2], k) for k, v in cache.items() if v[2] >= target]
         if above:
@@ -759,29 +776,12 @@ def golden_section_search(graph, config, initial_partition=None):
             _, start_key = max((v[2], k) for k, v in cache.items())
             part = _split_to(Partition(cache[start_key][1].copy()),
                              target, split_rng)
-        part, H, sweeps = run_mcmc(graph, part, config,
-                                   sweep_base=sweep_counter[0],
-                                   sweep_cap=config.probe_sweeps)
-        sweep_counter[0] += sweeps
-        entry = [H, part.assignment, part.num_blocks]
-        if target not in cache or target in unrelaxed or cache[target][0] > H:
-            cache[target] = entry
-        unrelaxed.discard(target)
-        return cache[target][0]
-
-    # expansion phase: an under-split start must be able to climb
-    cur = B0
-    while cur < N:
-        up = min(N, cur * 2)
-        if up == cur:
-            break
-        run_at(up)
-        if cache[up][0] < cache[cur][0]:
-            cur = up
-        else:
-            break
+        part, H = probe(part, phase, target)
+        cache[target] = [H, part.assignment, part.num_blocks]
+        return H
 
     # bracket phase: halve B until H turns upward
+    cur = B0
     probes = [cur]
     bracket = None
     while cur > 1:
@@ -790,13 +790,23 @@ def golden_section_search(graph, config, initial_partition=None):
             nxt = cur - 1
         if nxt < 1:
             nxt = 1
-        run_at(nxt)
+        run_at(nxt, "halve")
         probes.append(nxt)
         if cache[probes[-1]][0] > cache[probes[-2]][0]:
             hi = probes[-3] if len(probes) >= 3 else probes[-2]
             bracket = (probes[-1], probes[-2], hi)
             break
         cur = nxt
+
+    if warm and (bracket is None or len(probes) == 2):
+        # the start looks under-split: double above B0 until H turns upward
+        lo, mid, hi = (probes[1] if len(probes) > 1 else B0), B0, B0
+        while hi < N:
+            hi = min(N, 2 * mid)
+            if run_at(hi, "climb") >= cache[mid][0]:
+                break
+            lo, mid = mid, hi
+        bracket = (lo, mid, hi)
 
     if bracket is not None:
         lo, mid, hi = bracket
@@ -812,8 +822,8 @@ def golden_section_search(graph, config, initial_partition=None):
                 x = x + 1 if (hi - mid) >= (mid - lo) else x - 1
                 if x <= lo or x >= hi:
                     break
-            run_at(mid)
-            Hx = run_at(x)
+            run_at(mid, "golden")
+            Hx = run_at(x, "golden")
             if Hx < cache[mid][0]:
                 if x > mid:
                     lo, mid = mid, x
@@ -826,12 +836,11 @@ def golden_section_search(graph, config, initial_partition=None):
                     lo = x
         for bb in range(lo, hi + 1):
             if bb >= 1:
-                run_at(bb)
+                run_at(bb, "golden")
 
     # polish the winner to full convergence (probes run on a sweep budget)
     best = min(cache.values(), key=lambda v: (v[0], v[2]))
-    part, H, _ = run_mcmc(graph, Partition(best[1].copy()), config,
-                          sweep_base=sweep_counter[0])
+    part, H = probe(Partition(best[1].copy()), "polish", best[2], cap=None)
     if H <= best[0]:
         return part, part.num_blocks, H
     return Partition(best[1]), best[2], best[0]

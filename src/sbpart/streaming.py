@@ -71,7 +71,8 @@ def partition_stage(session, config=None):
     Stage 1 (and every stage when cold_each_stage is set) runs the search
     cold from one block per node. Later stages carry the previous partition
     over, split each block in two for headroom above the previous B, and
-    restart the search from there.
+    restart the search from there. The stage report's "search" entry
+    summarizes the search's probe trace.
     """
     if session.stage_index == 0:
         raise ValueError("no stage ingested yet")
@@ -89,22 +90,24 @@ def partition_stage(session, config=None):
                                      session.last_H)
         elapsed = time.perf_counter() - t0
         return _finish_stage(session, graph, partition, best_B, best_H,
-                             elapsed, config)
-    if session.partition is None or session.cold_each_stage:
-        initial = None
-    else:
-        warm = warm_start(session.partition, graph)
+                             elapsed, config, warm=True, trace=[])
+    warm = session.partition is not None and not session.cold_each_stage
+    initial = None
+    if warm:
         split_rng = np.random.default_rng(
             [config.rng_seed, 0x5EED, session.stage_index])
-        initial = split_partition(warm, split_rng, factor=2)
+        initial = split_partition(warm_start(session.partition, graph),
+                                  split_rng, factor=2)
+    trace = []
     partition, best_B, best_H = golden_section_search(
-        graph, config, initial_partition=initial)
+        graph, config, initial_partition=initial, trace=trace)
     elapsed = time.perf_counter() - t0
     return _finish_stage(session, graph, partition, best_B, best_H,
-                         elapsed, config)
+                         elapsed, config, warm, trace)
 
 
-def _finish_stage(session, graph, partition, best_B, best_H, elapsed, config):
+def _finish_stage(session, graph, partition, best_B, best_H, elapsed, config,
+                  warm, trace):
     session.partition = partition
     session._partitioned_weight = graph.total_edge_weight
     session.last_H = best_H
@@ -119,6 +122,10 @@ def _finish_stage(session, graph, partition, best_B, best_H, elapsed, config):
         "computational": computational_report(
             graph.total_edge_weight, elapsed,
             num_workers=config.workers).to_dict(),
+        "search": {"warm": warm, "probes": len(trace),
+                   "sweeps": sum(e["sweeps"] for e in trace),
+                   "max_probe_B": max((e["target"] for e in trace),
+                                      default=None)},
     }
     if session.truth is not None:
         n = graph.num_nodes

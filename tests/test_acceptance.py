@@ -23,7 +23,7 @@ from sbpart.graph import (Partition, apply_move, build_graph,
                           node_block_edge_counts, recompute_block_matrix)
 from sbpart.metrics import build_contingency, correctness_report, \
     information_metrics, overall_accuracy, pairwise_metrics
-from sbpart.streaming import run_stream
+from sbpart.streaming import StreamingSession, ingest_stage, partition_stage
 
 from conftest import random_graph, random_partition
 from engine_reference import (delta_log_posterior, entropy_sum,
@@ -241,13 +241,29 @@ def test_criterion_7_parallel_quality(sequential_runs, parallel_runs):
             f"batch: {worst:.4f}")
 
 
-def test_criterion_8_streaming_consistency(desk_graphs, sequential_runs):
+@pytest.fixture(scope="session")
+def desk_streams(desk_graphs):
+    """Desk graph 0 streamed in 10 stages of each mode with
+    MCMCConfig(rng_seed=0): mode -> (session, the graph of each stage)."""
     gen = desk_graphs[0]
+    streams = {}
+    for mode in ("edge-emergence", "snowball"):
+        sched = emit_streaming_stages(gen, mode, 10, rng_seed=0)
+        session = StreamingSession(config=MCMCConfig(rng_seed=0),
+                                   truth=gen.truth,
+                                   generated_mask=gen.generated_node_mask)
+        graphs = []
+        for k, batch in enumerate(sched.stages, start=1):
+            ingest_stage(session, batch, stage=k)
+            partition_stage(session)
+            graphs.append(session.graph)
+        streams[mode] = session, graphs
+    return streams
+
+
+def test_criterion_8_streaming_consistency(desk_streams, sequential_runs):
     cold_H = sequential_runs[0]["H"]
-    sched = emit_streaming_stages(gen, "edge-emergence", 10, rng_seed=0)
-    config = MCMCConfig(rng_seed=0)
-    session = run_stream(sched.stages, config=config, truth=gen.truth,
-                         generated_mask=gen.generated_node_mask)
+    session, _ = desk_streams["edge-emergence"]
     rel = (session.last_H - cold_H) / cold_H
     stages_reported = len(session.reports)
     have_correctness = all("correctness" in r for r in session.reports)
@@ -256,20 +272,31 @@ def test_criterion_8_streaming_consistency(desk_graphs, sequential_runs):
             f"(gap {rel * 100:+.2f}%), {stages_reported}/10 stage reports")
 
 
-def test_criterion_8b_snowball_streaming(desk_graphs, sequential_runs):
+def test_criterion_8b_snowball_streaming(desk_streams, sequential_runs):
     """Criterion 8 with snowball stages, whose warm starts begin far from
     the final B: the stream must still end at the planted B and cold H."""
-    gen = desk_graphs[0]
     cold_H = sequential_runs[0]["H"]
-    sched = emit_streaming_stages(gen, "snowball", 10, rng_seed=0)
-    session = run_stream(sched.stages, config=MCMCConfig(rng_seed=0),
-                         truth=gen.truth,
-                         generated_mask=gen.generated_node_mask)
+    session, _ = desk_streams["snowball"]
     rel = (session.last_H - cold_H) / cold_H
     ok = session.last_B == 8 and abs(rel) <= 0.01
     _report("8b", ok, f"snowball: final B={session.last_B}, H "
             f"{session.last_H:.1f} vs cold {cold_H:.1f} (gap "
             f"{rel * 100:+.2f}%)")
+
+
+def test_criterion_8c_every_stream_stage(desk_streams):
+    """Criteria 8 and 8b gate only the final stage. Every stage of both
+    modes must be within 5% of a cold search on that stage's graph with
+    the same config."""
+    gaps = []
+    for mode, (session, graphs) in desk_streams.items():
+        for report, graph in zip(session.reports, graphs):
+            _, _, cold_H = golden_section_search(graph, session.config)
+            gaps.append(((report["description_length"] - cold_H) / cold_H,
+                         mode, report["stage"]))
+    rel, mode, stage = max(gaps)
+    _report("8c", rel <= 0.05, f"worst stage H vs cold: {rel * 100:+.2f}% "
+            f"({mode}, stage {stage}) over 2 x 10 stages")
 
 
 def test_criterion_9_complexity_trend():

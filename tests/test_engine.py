@@ -10,6 +10,7 @@ from sbpart.engine import (MCMCConfig, description_length,
                            golden_section_search, mcmc_sweep, merge_blocks,
                            merge_delta_S, run_mcmc, snapshot_proposals,
                            split_partition, warm_start, _sweep_uniforms)
+from sbpart.generator import GeneratorConfig, generate
 from sbpart.graph import (BlockModelState, Partition, apply_move, build_graph,
                           node_block_edge_counts, recompute_block_matrix)
 
@@ -481,6 +482,62 @@ def test_search_climbs_from_underspecified_start():
     start = Partition(np.zeros(20, dtype=np.int64), 1)
     _, best_B, _ = golden_section_search(g, config, initial_partition=start)
     assert best_B == 2
+
+
+def four_cliques():
+    return build_graph([e for c in range(4)
+                        for e in directed_clique(10, offset=10 * c)])
+
+
+def test_warm_search_above_optimum_stays_at_or_below_start():
+    """Each clique split in two (B0 = 8, twice the optimum): the search
+    relaxes the start, halves from it, and never probes above B0."""
+    g = four_cliques()
+    start = Partition(np.arange(40) // 5, 8)
+    trace = []
+    _, best_B, _ = golden_section_search(g, MCMCConfig(rng_seed=0),
+                                         initial_partition=start, trace=trace)
+    assert best_B == 4
+    assert trace[0]["phase"] == "relax" and trace[0]["target"] == 8
+    assert trace[-1]["phase"] == "polish"
+    assert {e["phase"] for e in trace} <= {"relax", "halve", "golden",
+                                           "polish"}
+    assert max(max(e["target"], e["B"]) for e in trace) <= 8
+
+
+def test_warm_search_under_split_start_climbs():
+    """Pairs of planted blocks merged (B0 = 2, half the planted B = 4):
+    merging further cannot help, so the search climbs above B0 and ends
+    near the cold search. (On disjoint cliques a random split of a merged
+    pair leaves each half an even mix of two cliques, where H is flat, and
+    the climb seldom recovers them.)"""
+    gen = generate(GeneratorConfig(num_nodes=120, num_blocks=4,
+                                   target_total_edges=1200,
+                                   overlap_ratio=0.05, rng_seed=0))
+    config = MCMCConfig(rng_seed=0)
+    start = Partition(gen.truth.assignment // 2, 2)
+    trace = []
+    _, best_B, best_H = golden_section_search(
+        gen.graph, config, initial_partition=start, trace=trace)
+    _, _, cold_H = golden_section_search(gen.graph, config)
+    assert [e["phase"] for e in trace[:2]] == ["relax", "halve"]
+    assert any(e["phase"] == "climb" and e["target"] > 2 for e in trace)
+    assert best_B > 2
+    assert best_H <= cold_H * 1.01
+
+
+@pytest.mark.parametrize("mode", ["sequential", "batch"])
+def test_search_trace_changes_nothing(mode):
+    g = four_cliques()
+    config = MCMCConfig(rng_seed=3, execution_mode=mode)
+    for start in (None, Partition(np.arange(40) // 20, 2)):
+        trace = []
+        p1, b1, h1 = golden_section_search(g, config, start)
+        p2, b2, h2 = golden_section_search(g, config, start, trace=trace)
+        assert (b1, h1) == (b2, h2)
+        assert p1.assignment.tobytes() == p2.assignment.tobytes()
+        assert trace and all(e["sweeps"] >= 1 for e in trace)
+        assert sum(e["phase"] == "polish" for e in trace) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,8 @@ def test_zero_edge_stage_keeps_partition():
     assert session.reports[1]["description_length"] == \
         session.reports[0]["description_length"]
     assert session.reports[1]["computational"]["elapsed_seconds"] < 0.05
+    assert session.reports[1]["search"] == {"warm": True, "probes": 0,
+                                            "sweeps": 0, "max_probe_B": None}
 
 
 def test_partition_before_ingest_rejected():
@@ -110,6 +112,10 @@ def test_reports_emitted_per_stage_with_truth():
         assert rep["num_edges"] > 0
         assert "pairwise_recall" in rep["correctness"]
         assert rep["computational"]["rate_edges_per_second"] > 0
+        search = rep["search"]
+        assert search["warm"] == (k > 1)
+        assert 1 <= search["probes"] <= search["sweeps"]
+        assert search["max_probe_B"] >= rep["num_blocks"]
 
 
 def test_truth_restricted_to_present_nodes():
@@ -139,6 +145,7 @@ def test_cold_each_stage_flag():
     cold = run_stream(sched.stages, config=small_config(),
                       cold_each_stage=True)
     assert len(cold.reports) == len(warm.reports) == 3
+    assert not any(r["search"]["warm"] for r in cold.reports)
     # both strategies land on a valid final partition of the full graph
     assert cold.partition is not None and warm.partition is not None
     assert len(cold.partition) == len(warm.partition) == gen.graph.num_nodes
