@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -205,13 +206,23 @@ def bench_rows(sizes, config, repeats=1, seed=0, num_blocks=8):
     return rows
 
 
+def ratio_vs_log2(row1, row2):
+    """Criterion 9's ratio between two `bench_rows` rows: the measured
+    decline in rate over the (log E2 / log E1)^2 that O(E log^2 E) predicts."""
+    (e1, _, rate1), (e2, _, rate2) = row1, row2
+    return rate1 / rate2 / (math.log(e2) / math.log(e1)) ** 2
+
+
 def cmd_bench(args):
     sizes = [int(x) for x in args.sizes.split(",")]
     config = _engine_config(args)
     rows = bench_rows(sizes, config, repeats=args.repeats, seed=args.seed)
-    lines = ["num_edges\tseconds\trate_edges_per_second"]
-    for e, sec, rate in rows:
-        lines.append(f"{e}\t{sec:.4f}\t{rate:.2f}")
+    many = len(rows) > 1
+    lines = ["num_edges\tseconds\trate_edges_per_second"
+             + "\tratio_vs_log2" * many]
+    for k, (e, sec, rate) in enumerate(rows):
+        ratio = f"{ratio_vs_log2(rows[k - 1], rows[k]):.3f}" if k else "NA"
+        lines.append(f"{e}\t{sec:.4f}\t{rate:.2f}" + f"\t{ratio}" * many)
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:

@@ -12,13 +12,16 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .graph import (
     BlockModelState,
+    NodeTables,
     Partition,
     _bump,
     apply_delta,
@@ -105,63 +108,62 @@ def _sweep_permutation(seed, sweep_index, num_nodes):
     return np.random.Generator(bitgen).permutation(num_nodes)
 
 
-def _propose(graph, assignment, state, B, i, u_edge, u_coin, u_prop):
-    j = graph.draw_neighbor(i, u_edge)
-    u_blk = int(assignment[j])
-    du = int(state.d[u_blk])
+def _propose(a, state, cache, B, j, u_coin, u_prop):
+    """The block proposal for a node whose drawn neighbour is j: a uniform
+    block, or the first block by id whose running weight in row a[j] of
+    M + M^T exceeds floor(u_prop * d). `cache` holds each block's sorted
+    row ids and running weights; a move must drop the rows it changes."""
+    u = a[j]
+    du = state.d[u]
     if u_coin <= B / (du + B):
         return min(int(u_prop * B), B - 1)
-    comb = dict(state.rows[u_blk])
-    for t, w in state.cols[u_blk].items():
-        comb[t] = comb.get(t, 0) + w
-    thresh = u_prop * du
-    c = 0
-    t = u_blk
-    for t in sorted(comb):
-        c += comb[t]
-        if c > thresh:
-            return t
-    return t
+    row = cache.get(u)
+    if row is None:
+        comb = dict(state.rows[u])
+        for t, w in state.cols[u].items():
+            comb[t] = comb.get(t, 0) + w
+        keys = sorted(comb)
+        cum = list(accumulate(map(comb.__getitem__, keys)))
+        row = cache[u] = keys, cum
+    keys, cum = row
+    return keys[min(bisect_right(cum, u_prop * du), len(keys) - 1)]
 
 
-def _evaluate(graph, assignment, state, B, beta, i,
-              u_edge, u_coin, u_prop, u_accept):
-    """One proposal for node i against (assignment, state); no mutation.
+def _evaluate(tables, a, state, cache, B, beta, i, j,
+              u_coin, u_prop, u_accept):
+    """One proposal for node i, whose drawn neighbour is j, against the
+    labelling `a` (a list), its state and the `_propose` row cache; no
+    mutation.
 
     Returns (r, s, commit, (delta_S, p_forward, p_backward, p_accept)) for
     the move r -> s, where commit is the move_delta triple (delta, ki_out,
     ki_in) if the move was accepted, else None.
     """
-    r = int(assignment[i])
-    s = _propose(graph, assignment, state, B, i, u_edge, u_coin, u_prop)
+    r = a[i]
+    s = _propose(a, state, cache, B, j, u_coin, u_prop)
     if s == r:
         return r, s, None, (0.0, 0.0, 0.0, 0.0)
-    counts = node_block_edge_counts(graph, assignment, i)
+    counts = node_block_edge_counts(tables, a, i)
     delta, ki_out, ki_in = move_delta(counts, r, s)
     rows, cols = state.rows, state.cols
     d_out, d_in, d = state.d_out, state.d_in, state.d
-    dor, dos = int(d_out[r]), int(d_out[s])
-    dir_, dis = int(d_in[r]), int(d_in[s])
+    dor, dos = d_out[r], d_out[s]
+    dir_, dis = d_in[r], d_in[s]
     dor_a, dos_a = dor - ki_out, dos + ki_out
     dir_a, dis_a = dir_ - ki_in, dis + ki_in
     # S collapses to sum(w log w) - sum(d_out log d_out) - sum(d_in log d_in)
     # over the whole matrix, so dS only involves changed cells and degrees
-    log = math.log
+    xlogx = tables.xlogx
     dS = 0.0
     for (t1, t2), dw in delta.items():
         if dw == 0:
             continue
         w_b = rows[t1].get(t2, 0)
-        w_a = w_b + dw
-        if w_b:
-            dS += w_b * log(w_b)
-        if w_a:
-            dS -= w_a * log(w_a)
+        dS += xlogx[w_b]
+        dS -= xlogx[w_b + dw]
     for db, da in ((dor, dor_a), (dos, dos_a), (dir_, dir_a), (dis, dis_a)):
-        if db:
-            dS -= db * log(db)
-        if da:
-            dS += da * log(da)
+        dS -= xlogx[db]
+        dS += xlogx[da]
 
     # Hastings correction: the proposal probabilities of s before the move
     # and of r after it. Cells (t, r) and (r, t) lose the node's k edges
@@ -173,7 +175,7 @@ def _evaluate(graph, assignment, state, B, beta, i,
     row_r, col_r = rows[r], cols[r]
     row_s, col_s = rows[s], cols[s]
     for t, k in counts.combined.items():
-        dt = int(d[t])
+        dt = d[t]
         pf += k * (col_s.get(t, 0) + row_s.get(t, 0) + 1) / (dt + B)
         if t == r or t == s:
             m_a = col_r.get(t, 0) + delta.get((t, r), 0) \
@@ -403,11 +405,13 @@ def _score_moves(graph, b, B, nodes, r, s, size, get_m, d_out, d_in, d):
             np.bincount(gp, weights=pb[by_reach], minlength=n))
 
 
-def mcmc_sweep(graph, partition, state, config, sweep_index=0):
+def mcmc_sweep(graph, partition, state, config, sweep_index=0, tables=None):
     """One full pass of nodal updates, in one of two sweeps.
 
     sequential: nodes visited in random order against the live dict state
-    of M; each accepted move updates it in place.
+    of M; each accepted move updates it in place. It reads the graph from
+    `tables` (the probe's NodeTables, built here if not given), with every
+    node's neighbour drawn up front (the draw reads no state).
     batch: every node is evaluated against the frozen sweep-start labelling
     in one numpy pass (`snapshot_proposals`); the accepted moves are
     applied at a barrier. It reads no state and returns None for it.
@@ -418,17 +422,27 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0):
     U = _sweep_uniforms(config.rng_seed, sweep_index, N)
     b = partition.assignment
     if config.execution_mode == "sequential":
+        if tables is None:
+            tables = NodeTables(graph)
         B = state.num_blocks
         beta = config.beta
+        order = _sweep_permutation(config.rng_seed, sweep_index, N)
+        order = order[graph.degree[order] > 0]
+        drawn = graph.draw_neighbors(order, U[order, 0])
+        a = b.tolist()
+        cache = {}
         accepted = 0
-        for i in _sweep_permutation(config.rng_seed, sweep_index, N):
-            i = int(i)
-            if graph.degree[i] == 0:
-                continue
-            r, s, commit, _ = _evaluate(graph, b, state, B, beta, i,
-                                        U[i, 0], U[i, 1], U[i, 2], U[i, 3])
+        for i, j, (_, u_coin, u_prop, u_accept) in zip(
+                order.tolist(), drawn.tolist(), U[order].tolist()):
+            r, s, commit, _ = _evaluate(tables, a, state, cache, B, beta, i,
+                                        j, u_coin, u_prop, u_accept)
             if commit is not None:
                 apply_delta(state, r, s, *commit)
+                # every row of M + M^T with a changed cell
+                for t1, t2 in commit[0]:
+                    cache.pop(t1, None)
+                    cache.pop(t2, None)
+                a[i] = s
                 b[i] = s
                 accepted += 1
         return (partition, state, description_length(graph, partition),
@@ -443,18 +457,22 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0):
 def run_mcmc(graph, partition, config, sweep_base=0, sweep_cap=None):
     """Sweep until the windowed relative improvement in H drops below the
     convergence threshold, or the sweep budget is hit. The sequential sweep
-    edits a dict state of M, built here; the batch sweep needs none.
+    edits a dict state of M and reads the graph's NodeTables, both built
+    here and dropped on return; the batch sweep needs neither.
     Returns (partition relabelled to its used blocks, H, sweeps)."""
     cap = config.max_sweeps if sweep_cap is None \
         else min(sweep_cap, config.max_sweeps)
-    state = recompute_block_matrix(graph, partition) \
-        if config.execution_mode == "sequential" else None
+    state = tables = None
+    if config.execution_mode == "sequential":
+        state = recompute_block_matrix(graph, partition)
+        tables = NodeTables(graph)
     H = description_length(graph, partition)
     window = deque(maxlen=config.convergence_window)
     sweeps = 0
     for t in range(cap):
-        partition, state, H_new, _ = mcmc_sweep(graph, partition, state,
-                                                config, sweep_index=sweep_base + t)
+        partition, state, H_new, _ = mcmc_sweep(
+            graph, partition, state, config, sweep_index=sweep_base + t,
+            tables=tables)
         sweeps += 1
         window.append(abs(H - H_new) / max(abs(H_new), 1e-12))
         H = H_new
@@ -624,7 +642,8 @@ def merge_blocks(graph, partition, target_B, config, rng=None):
     are applied one at a time, cheapest first; a popped candidate is
     re-scored against the live state first, and goes back on the heap if
     earlier merges made it dearer than the next one. When the heap runs
-    dry, the pass runs again on the current groups.
+    dry, the pass runs again on the current groups; after 100 passes
+    without a candidate, every group's cheapest partner is scored directly.
     Returns the merged partition.
     """
     if target_B < 1:
@@ -662,13 +681,15 @@ def merge_blocks(graph, partition, target_B, config, rng=None):
                                      len(roots))
             heap = [(dS, int(roots[r]), int(roots[s])) for dS, r, s
                     in _best_merges(cell, m, len(roots), P, rng)]
-            heapq.heapify(heap)
             if not heap:
                 empty_refills += 1
                 if empty_refills > 100:
-                    raise ValueError(f"unable to find further merge "
-                                     f"candidates: {B - merged} blocks left, "
-                                     f"target {target_B}")
+                    # no draw reaches another group: give each its cheapest
+                    # partner, scored on the state
+                    roots = roots.tolist()
+                    heap = [min((merge_delta_S(state, r, s), r, s)
+                                for s in roots if s != r) for r in roots]
+            heapq.heapify(heap)
             continue
         dS, r, s = heapq.heappop(heap)
         if find(r) != r:

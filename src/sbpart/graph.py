@@ -8,6 +8,7 @@ moves keep exact without recomputation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ class Graph:
     """
 
     __slots__ = ("num_nodes", "ptr", "nbr", "w_out", "w_in", "cumw",
-                 "degree", "total_edge_weight")
+                 "degree", "total_edge_weight", "_edges")
 
     def __init__(self, num_nodes, ptr, nbr, w_out, w_in):
         self.num_nodes = num_nodes
@@ -35,6 +36,7 @@ class Graph:
         self.cumw = np.concatenate(([0], np.cumsum(w_out + w_in)))
         self.degree = self.cumw[ptr[1:]] - self.cumw[ptr[:-1]]
         self.total_edge_weight = int(w_out.sum())
+        self._edges = None
 
     def neighbors(self, i):
         """(j, weight of i -> j, weight of j -> i) per neighbour j of i, in
@@ -44,41 +46,24 @@ class Graph:
                    self.w_in[lo:hi].tolist())
 
     def _edge_arrays(self):
-        """Source, target and weight arrays, sorted by (source, target)."""
-        out = self.w_out > 0
-        src = np.repeat(np.arange(self.num_nodes), np.diff(self.ptr))
-        return src[out], self.nbr[out], self.w_out[out]
+        """Source, target and weight arrays, sorted by (source, target);
+        built on the first call and shared by later ones (read-only)."""
+        if self._edges is None:
+            out = self.w_out > 0
+            src = np.repeat(np.arange(self.num_nodes), np.diff(self.ptr))
+            self._edges = src[out], self.nbr[out], self.w_out[out]
+        return self._edges
 
     def edge_list(self):
         """(source, target, weight) per edge, sorted by (source, target)."""
         return list(zip(*(a.tolist() for a in self._edge_arrays())))
 
-    def self_loop_weight(self, i):
-        for j, w, _ in self.neighbors(i):
-            if j == i:
-                return w
-        return 0
-
-    def draw_neighbor(self, i, u):
-        """Pick a neighbour of node i proportional to combined edge weight.
-
-        u is a uniform variate in [0, 1). The draw is the first entry of
-        row i whose running weight exceeds floor(u * k_i), so a self-loop
-        of weight w is drawn with probability 2w / k_i (it contributes one
-        edge per direction). `draw_neighbors` makes the same draw for many
-        nodes at once.
-        """
-        lo, hi = int(self.ptr[i]), int(self.ptr[i + 1])
-        if lo == hi:
-            raise ValueError(f"node {i} has no edges to draw from")
-        start = int(self.cumw[lo])
-        k = int(self.cumw[hi]) - start
-        x = start + min(int(u * k), k - 1)
-        return int(self.nbr[np.searchsorted(self.cumw, x, side="right") - 1])
-
     def draw_neighbors(self, nodes, u):
-        """`draw_neighbor` for each node of the array `nodes`, with the
-        matching variate of `u`; every node must have an edge."""
+        """A neighbour of each node of the array `nodes` (each must have an
+        edge), drawn proportional to combined edge weight with the matching
+        uniform variate of `u` in [0, 1): the first entry of row i whose
+        running weight exceeds floor(u * k_i). A self-loop of weight w is
+        drawn with probability 2w / k_i (one edge per direction)."""
         k = self.degree[nodes]
         x = self.cumw[self.ptr[nodes]] + np.minimum(np.floor(u * k),
                                                     k - 1).astype(np.int64)
@@ -165,7 +150,8 @@ class Partition:
 
 
 class BlockModelState:
-    """Inter-block edge-count matrix M with block degree vectors.
+    """Inter-block edge-count matrix M with block degree vectors (lists,
+    read one block at a time).
 
     rows[r][s] == cols[s][r] == total weight of edges from block r to s.
     """
@@ -177,7 +163,7 @@ class BlockModelState:
         self.cols = cols
         self.d_out = d_out
         self.d_in = d_in
-        self.d = d_out + d_in
+        self.d = (np.asarray(d_out) + d_in).tolist()
 
     @property
     def num_blocks(self):
@@ -212,7 +198,7 @@ class BlockModelState:
             cols[t2][t1] = x
         d_out = np.bincount(r, weights=m, minlength=B).astype(np.int64)
         d_in = np.bincount(s, weights=m, minlength=B).astype(np.int64)
-        return cls(rows, cols, d_out, d_in)
+        return cls(rows, cols, d_out.tolist(), d_in.tolist())
 
 
 @dataclass
@@ -228,30 +214,67 @@ class NodeBlockEdgeCounts:
     self_loop: int = 0
 
 
-def node_block_edge_counts(graph, assignment, i):
+class NodeTables:
+    """A graph's neighbour table as Python lists, for code that reads it
+    one node at a time (the exact sequential sweep builds one per probe).
+
+    out_j[i] and out_w[i] list node i's out-neighbours by id and the
+    weights of i -> j; in_j[i] and in_w[i] its in-neighbours by id and the
+    weights of j -> i; self_loop[i] is the weight of i -> i; xlogx[x] is
+    x * log(x) for x in 0..E (0.0 at 0), which covers every cell and
+    degree of M.
+    """
+
+    __slots__ = ("out_j", "out_w", "in_j", "in_w", "self_loop", "xlogx")
+
+    def __init__(self, graph):
+        n, nbr = graph.num_nodes, graph.nbr
+        row = np.repeat(np.arange(n), np.diff(graph.ptr))
+        # one int object per node id, shared by every list that holds it
+        ids = np.arange(n).astype(object)[nbr]
+
+        def split(e, values):
+            ends = np.cumsum(np.bincount(row[e], minlength=n)).tolist()
+            v = values[e].tolist()
+            return [v[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+        out = np.flatnonzero(graph.w_out > 0)
+        # the in-entries by neighbour id: the ids of the out-section and of
+        # the in-only section interleave
+        inn = np.flatnonzero(graph.w_in > 0)
+        inn = inn[np.lexsort((nbr[inn], row[inn]))]
+        self.out_j, self.out_w = split(out, ids), split(out, graph.w_out)
+        self.in_j, self.in_w = split(inn, ids), split(inn, graph.w_in)
+        loop = np.zeros(n, dtype=np.int64)
+        at = np.flatnonzero(nbr == row)
+        loop[row[at]] = graph.w_out[at]
+        self.self_loop = loop.tolist()
+        log = math.log
+        self.xlogx = [0.0] + [x * log(x) for x in
+                              range(1, graph.total_edge_weight + 1)]
+
+
+def node_block_edge_counts(tables, assignment, i):
     """Edge weight between node i and each block of the labelling
-    `assignment` (an array of block ids indexed by node). Every map lists
-    its blocks in the order first reached by walking the out-neighbours by
-    id, then the in-neighbours by id; the sweep's float sums follow it."""
-    lo, hi = graph.ptr[i], graph.ptr[i + 1]
-    nbr = graph.nbr[lo:hi]
-    out_c, in_c, comb = {}, {}, {}
-    ins = []
-    w_self = 0
-    blocks = np.asarray(assignment)[nbr].tolist()
-    for j, t, wo, wi in zip(nbr.tolist(), blocks, graph.w_out[lo:hi].tolist(),
-                            graph.w_in[lo:hi].tolist()):
-        if wo:
-            out_c[t] = out_c.get(t, 0) + wo
-        if wi:
-            ins.append((j, t, wi))
-        comb[t] = comb.get(t, 0) + wo + wi
-        if j == i:
-            w_self = wo
-    ins.sort()
-    for _, t, wi in ins:
-        in_c[t] = in_c.get(t, 0) + wi
-    return NodeBlockEdgeCounts(out_c, in_c, comb, w_self)
+    `assignment` (block ids indexed by node; the sweep passes a list),
+    read from the graph's `NodeTables`. Every map lists its blocks in the
+    order first reached by walking the out-neighbours by id, then the
+    in-neighbours by id (in_counts: all in-neighbours by id); the sweep's
+    float sums follow it."""
+    a = assignment
+    out_c, in_c = {}, {}
+    for j, w in zip(tables.out_j[i], tables.out_w[i]):
+        t = a[j]
+        out_c[t] = out_c.get(t, 0) + w
+    for j, w in zip(tables.in_j[i], tables.in_w[i]):
+        t = a[j]
+        in_c[t] = in_c.get(t, 0) + w
+    # a block first reached by an in-neighbour that is also an
+    # out-neighbour is already in out_c, so in_c adds the rest in order
+    comb = dict(out_c)
+    for t, w in in_c.items():
+        comb[t] = comb.get(t, 0) + w
+    return NodeBlockEdgeCounts(out_c, in_c, comb, tables.self_loop[i])
 
 
 def runs(key):

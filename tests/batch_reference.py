@@ -25,9 +25,9 @@ def batch_outcomes(graph, assignment, state, config, uniforms):
     beta = config.beta
     b = assignment
     M = state.to_dense()
-    d_out = state.d_out
-    d_in = state.d_in
-    d = state.d
+    d_out = np.asarray(state.d_out)
+    d_in = np.asarray(state.d_in)
+    d = np.asarray(state.d)
     edges = np.array(graph.edge_list(), dtype=np.int64).reshape(-1, 3)
     A = csr_matrix((edges[:, 2], (edges[:, 0], edges[:, 1])), shape=(N, N),
                    dtype=np.int64)
@@ -35,8 +35,7 @@ def batch_outcomes(graph, assignment, state, config, uniforms):
                        shape=(N, B))
     K_out = np.asarray((A @ gamma).todense(), dtype=np.int64)
     K_in = np.asarray((A.T @ gamma).todense(), dtype=np.int64)
-    selfw = np.fromiter((graph.self_loop_weight(i) for i in range(N)),
-                        dtype=np.int64, count=N)
+    selfw = A.diagonal()
     comb_cum = np.cumsum(M + M.T, axis=1)
 
     proposal = np.full(N, -1, dtype=np.int64)
@@ -51,7 +50,7 @@ def batch_outcomes(graph, assignment, state, config, uniforms):
         if graph.degree[i] == 0:
             continue
         r = int(b[i])
-        j = graph.draw_neighbor(i, uniforms[i, 0])
+        j = int(graph.draw_neighbors(np.array([i]), uniforms[i:i + 1, 0])[0])
         u_blk = int(b[j])
         du = int(d[u_blk])
         if uniforms[i, 1] <= B / (du + B):

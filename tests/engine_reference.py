@@ -14,8 +14,10 @@ a time from the dict state: the oracles of the numpy candidate pass
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from sbpart.engine import _evaluate, _propose
-from sbpart.graph import apply_delta
+from sbpart.graph import NodeTables, apply_delta
 
 
 @dataclass
@@ -92,8 +94,14 @@ def delta_log_posterior(before, after, r, s):
 def propose_block(i, partition, state, graph, rng):
     """Draw a block proposal for node i per the nodal-update proposal rule."""
     u = rng.random(3)
-    return _propose(graph, partition.assignment, state, state.num_blocks,
-                    i, u[0], u[1], u[2])
+    return _propose(partition.assignment.tolist(), state, {},
+                    state.num_blocks, draw_neighbor(graph, i, u[0]),
+                    u[1], u[2])
+
+
+def draw_neighbor(graph, i, u):
+    """`Graph.draw_neighbors` for one node."""
+    return int(graph.draw_neighbors(np.array([i]), np.array([u]))[0])
 
 
 def hastings_correction(i, counts, state_before, state_after, r, s, B):
@@ -116,9 +124,9 @@ def nodal_update(i, partition, state, graph, config, rng):
     if graph.degree[i] == 0:
         return ProposalOutcome(i, r, r, 0.0, 0.0, 0.0, 0.0, False)
     u = rng.random(4)
-    evaluated = _evaluate(graph, partition.assignment, state,
-                          state.num_blocks, config.beta, i,
-                          u[0], u[1], u[2], u[3])
+    evaluated = _evaluate(NodeTables(graph), partition.assignment.tolist(),
+                          state, {}, state.num_blocks, config.beta, i,
+                          draw_neighbor(graph, i, u[0]), u[1], u[2], u[3])
     outcome, commit = _outcome(i, evaluated), evaluated[2]
     if commit is not None:
         apply_delta(state, r, outcome.proposed_block, *commit)
@@ -131,14 +139,15 @@ def snapshot_outcomes(graph, assignment, state, config, uniforms):
     one `_evaluate` per node: the per-node oracle of the numpy snapshot
     sweep (`sbpart.engine.snapshot_proposals`)."""
     B = state.num_blocks
+    tables, a, cache = NodeTables(graph), assignment.tolist(), {}
     out = []
     for i in range(graph.num_nodes):
         if graph.degree[i] == 0:
             continue
-        out.append(_outcome(i, _evaluate(graph, assignment, state, B,
-                                         config.beta, i, uniforms[i, 0],
-                                         uniforms[i, 1], uniforms[i, 2],
-                                         uniforms[i, 3])))
+        j = draw_neighbor(graph, i, uniforms[i, 0])
+        out.append(_outcome(i, _evaluate(tables, a, state, cache, B,
+                                         config.beta, i, j, uniforms[i, 1],
+                                         uniforms[i, 2], uniforms[i, 3])))
     return out
 
 

@@ -3,7 +3,6 @@
 Expensive artifacts (the five desk-scale recovery runs and their graphs) are
 shared across criteria through session-scoped fixtures.
 """
-import math
 import sys
 import time
 from itertools import combinations
@@ -11,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sbpart.cli import bench_rows
+from sbpart.cli import bench_rows, ratio_vs_log2
 from sbpart.engine import (MCMCConfig, golden_section_search,
                            snapshot_proposals, _sweep_uniforms)
 from sbpart.generator import (GeneratorConfig, emit_streaming_stages,
@@ -19,7 +18,7 @@ from sbpart.generator import (GeneratorConfig, emit_streaming_stages,
                               sample_bounded_powerlaw,
                               sample_degree_corrections,
                               sample_truth_partition)
-from sbpart.graph import (Partition, apply_move, build_graph,
+from sbpart.graph import (NodeTables, Partition, apply_move, build_graph,
                           node_block_edge_counts, recompute_block_matrix)
 from sbpart.metrics import build_contingency, correctness_report, \
     information_metrics, overall_accuracy, pairwise_metrics
@@ -136,13 +135,14 @@ def test_criterion_3_incremental_matrix():
         g = random_graph(rng, max_nodes=40, min_nodes=5)
         p = random_partition(rng, g.num_nodes)
         state = recompute_block_matrix(g, p)
+        tables = NodeTables(g)
         for _ in range(20):
             i = int(rng.integers(g.num_nodes))
             r = int(p.assignment[i])
             s = int(rng.integers(p.num_blocks))
             if s == r:
                 continue
-            counts = node_block_edge_counts(g, p.assignment, i)
+            counts = node_block_edge_counts(tables, p.assignment, i)
             apply_move(state, i, r, s, counts)
             p.assignment[i] = s
             moves += 1
@@ -168,7 +168,7 @@ def test_criterion_4_restricted_delta():
         s = int(rng.integers(p.num_blocks))
         if s == r:
             continue
-        counts = node_block_edge_counts(g, p.assignment, i)
+        counts = node_block_edge_counts(NodeTables(g), p.assignment, i)
         after = before.copy()
         apply_move(after, i, r, s, counts)
         restricted = delta_log_posterior(before, after, r, s)
@@ -307,13 +307,10 @@ def test_criterion_9_complexity_trend():
                       seed=0)
     ok = True
     details = []
-    for (e1, _, r1), (e2, _, r2) in zip(rows, rows[1:]):
-        measured = r1 / r2                      # rate decline per decade
-        predicted = (math.log(e2) / math.log(e1)) ** 2
-        ratio = measured / predicted
-        details.append(f"E {e1}->{e2}: decline {measured:.2f}x vs "
-                       f"log^2 prediction {predicted:.2f}x (ratio "
-                       f"{ratio:.2f})")
+    for row1, row2 in zip(rows, rows[1:]):
+        ratio = ratio_vs_log2(row1, row2)
+        details.append(f"E {row1[0]}->{row2[0]}: rate decline over the "
+                       f"log^2 prediction {ratio:.2f}")
         if not (0.5 <= ratio <= 2.0):
             ok = False
     _report(9, ok, "; ".join(details))

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sbpart.engine import _merge_into
-from sbpart.graph import (Partition, apply_move, build_graph,
+from sbpart.graph import (NodeTables, Partition, apply_move, build_graph,
                           node_block_edge_counts, recompute_block_matrix)
 
 
@@ -38,7 +38,8 @@ def test_moves_and_merges_match_recount(case):
             r = int(a[x])
             if r == y:
                 continue
-            apply_move(state, x, r, y, node_block_edge_counts(g, a, x))
+            apply_move(state, x, r, y,
+                       node_block_edge_counts(NodeTables(g), a, x))
             a[x] = y
         else:
             if x == y:

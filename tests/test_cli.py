@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 
 import numpy as np
@@ -225,6 +226,23 @@ def test_bench_multiple_sizes_and_repeats(tmp_path):
     assert len(lines) == 3
 
 
+def test_bench_ratio_vs_log2_column(tmp_path):
+    """Each size after the first gets criterion 9's ratio: its rate
+    decline from the size before over the (log E2 / log E1)^2 prediction."""
+    out = str(tmp_path / "bench.tsv")
+    rc = main(["bench", "--sizes", "200,400,800", "-o", out,
+               "--max-sweeps", "5"])
+    assert rc == 0
+    header, *rows = [line.split("\t")
+                     for line in open(out).read().strip().split("\n")]
+    assert header[-1] == "ratio_vs_log2"
+    assert rows[0][-1] == "NA"
+    for (e1, _, r1, _), (e2, _, r2, ratio) in zip(rows, rows[1:]):
+        predicted = (math.log(int(e2)) / math.log(int(e1))) ** 2
+        assert float(ratio) == pytest.approx(
+            float(r1) / float(r2) / predicted, rel=0.01)
+
+
 def test_exit_code_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["partition"])  # missing required arguments
@@ -290,15 +308,16 @@ def test_exit_code_data_value_error(tmp_path):
     assert rc == 2
 
 
-def test_merge_failure_is_data_error(tmp_path, capsys):
+def test_partition_disjoint_self_loops(tmp_path):
     """Two nodes joined only to themselves never propose each other as a
-    merge target, so the search cannot reach one block."""
+    merge target; the search still probes one block (the merge scores the
+    pair directly) and keeps the two apart."""
     edge_file = tmp_path / "loops.tsv"
     edge_file.write_text("1\t1\t1000000\n2\t2\t1000000\n")
-    rc = main(["partition", str(edge_file), "-o", str(tmp_path / "x")])
-    assert rc == 2
-    assert "unable to find further merge candidates" in \
-        capsys.readouterr().err
+    out = str(tmp_path / "x")
+    rc = main(["partition", str(edge_file), "-o", out])
+    assert rc == 0
+    assert json.load(open(f"{out}_report.json"))["num_blocks"] == 2
 
 
 def test_mask_bad_flag_names_file_and_line(tmp_path, capsys):

@@ -11,8 +11,9 @@ from sbpart.engine import (MCMCConfig, description_length,
                            merge_delta_S, run_mcmc, snapshot_proposals,
                            split_partition, warm_start, _sweep_uniforms)
 from sbpart.generator import GeneratorConfig, generate
-from sbpart.graph import (BlockModelState, Partition, apply_move, build_graph,
-                          node_block_edge_counts, recompute_block_matrix)
+from sbpart.graph import (BlockModelState, NodeTables, Partition, apply_move,
+                          build_graph, node_block_edge_counts,
+                          recompute_block_matrix)
 
 from batch_reference import batch_outcomes
 from conftest import random_graph, random_partition
@@ -76,7 +77,7 @@ def test_delta_log_posterior_three_cycle():
     g = three_cycle()
     p = Partition([0, 0, 1])
     before = recompute_block_matrix(g, p)
-    counts = node_block_edge_counts(g, p.assignment, 2)
+    counts = node_block_edge_counts(NodeTables(g), p.assignment, 2)
     after = before.copy()
     apply_move(after, 2, 1, 0, counts)
     restricted = delta_log_posterior(before, after, 1, 0)
@@ -90,7 +91,8 @@ def test_delta_log_posterior_noop_move_is_zero():
     g = build_graph([(0, 1, 1)], num_nodes=4)
     p = Partition([0, 1, 2, 2])
     before = recompute_block_matrix(g, p)
-    counts = node_block_edge_counts(g, p.assignment, 3)   # isolated node
+    # node 3 is isolated
+    counts = node_block_edge_counts(NodeTables(g), p.assignment, 3)
     after = before.copy()
     apply_move(after, 3, 2, 1, counts)
     assert delta_log_posterior(before, after, 2, 1) == pytest.approx(0.0,
@@ -110,7 +112,7 @@ def test_restricted_delta_matches_full_on_random_moves():
         s = int(rng.integers(p.num_blocks))
         if s == r:
             continue
-        counts = node_block_edge_counts(g, p.assignment, i)
+        counts = node_block_edge_counts(NodeTables(g), p.assignment, i)
         after = before.copy()
         apply_move(after, i, r, s, counts)
         restricted = delta_log_posterior(before, after, r, s)
@@ -159,8 +161,8 @@ def test_hastings_symmetric_state():
     state = BlockModelState([{0: 2, 1: 1}, {0: 1, 1: 2}],
                             [{0: 2, 1: 1}, {0: 1, 1: 2}],
                             np.array([3, 3]), np.array([3, 3]))
-    counts = node_block_edge_counts(
-        build_graph([(0, 1, 1), (2, 0, 1)], num_nodes=3), [1, 0, 1], 0)
+    g = build_graph([(0, 1, 1), (2, 0, 1)], num_nodes=3)
+    counts = node_block_edge_counts(NodeTables(g), [1, 0, 1], 0)
     assert counts.combined == {0: 1, 1: 1}
     pf, pb = hastings_correction(0, counts, state, state, 0, 1, 2)
     # t=0: (1+1+1)/8, t=1: (2+2+1)/8 -> pf = 1; mirrored for pb
@@ -172,8 +174,8 @@ def test_hastings_empty_counts():
     state = BlockModelState([{}, {}], [{}, {}],
                             np.zeros(2, dtype=np.int64),
                             np.zeros(2, dtype=np.int64))
-    counts = node_block_edge_counts(build_graph([(0, 1, 1)], num_nodes=3),
-                                    [0, 0, 1], 2)
+    g = build_graph([(0, 1, 1)], num_nodes=3)
+    counts = node_block_edge_counts(NodeTables(g), [0, 0, 1], 2)
     pf, pb = hastings_correction(2, counts, state, state, 1, 0, 2)
     assert pf == 0.0 and pb == 0.0
 
@@ -185,9 +187,10 @@ def test_hastings_reverse_consistency():
     done = 0
     while done < 100:
         g = random_graph(rng, max_nodes=40, min_nodes=5)
+        tables = NodeTables(g)
         p = random_partition(rng, g.num_nodes)
         i = int(rng.integers(g.num_nodes))
-        if g.self_loop_weight(i) or g.degree[i] == 0:
+        if tables.self_loop[i] or g.degree[i] == 0:
             continue
         r = int(p.assignment[i])
         s = int(rng.integers(p.num_blocks))
@@ -195,13 +198,13 @@ def test_hastings_reverse_consistency():
             continue
         B = p.num_blocks
         before = recompute_block_matrix(g, p)
-        counts = node_block_edge_counts(g, p.assignment, i)
+        counts = node_block_edge_counts(tables, p.assignment, i)
         after = before.copy()
         apply_move(after, i, r, s, counts)
         pf, pb = hastings_correction(i, counts, before, after, r, s, B)
         p2 = p.copy()
         p2.assignment[i] = s
-        counts_rev = node_block_edge_counts(g, p2.assignment, i)
+        counts_rev = node_block_edge_counts(tables, p2.assignment, i)
         pf_rev, pb_rev = hastings_correction(i, counts_rev, after, before,
                                              s, r, B)
         assert pf_rev == pytest.approx(pb, abs=1e-12)
@@ -415,7 +418,7 @@ def test_merge_refill_uses_current_groups(monkeypatch):
 def test_merge_round_without_candidates(monkeypatch):
     """Two blocks joined only to themselves: every proposal draws its own
     block, so no round has a candidate. merge_blocks refills the empty
-    heap from new rounds, then gives up with a ValueError."""
+    heap from new rounds, then scores the pair on the state and merges."""
     g = build_graph([(0, 0, 10**6), (1, 1, 10**6)])
     rounds = []
     original = engine.merge_candidates
@@ -425,10 +428,26 @@ def test_merge_round_without_candidates(monkeypatch):
         rounds.append(len(result[0]))
         return result
     monkeypatch.setattr(engine, "merge_candidates", counted)
-    with pytest.raises(ValueError,
-                       match="unable to find further merge candidates"):
-        merge_blocks(g, Partition([0, 1]), 1, MCMCConfig())
-    assert len(rounds) > 1 and not any(rounds)
+    assert merge_blocks(g, Partition([0, 1]), 1, MCMCConfig()).num_blocks == 1
+    assert len(rounds) > 100 and not any(rounds)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "batch"])
+def test_warm_search_merges_blocks_without_shared_edges(mode):
+    """Four disjoint 20-node cliques started from {cliques 0, 1} and
+    {cliques 2, 3}: the halving to one block must merge two blocks that
+    share no edge, which no merge proposal drew at seed 0. The search
+    completes and ends no worse than its start."""
+    g = build_graph([e for c in range(4)
+                     for e in directed_clique(20, offset=20 * c)])
+    start = Partition(np.arange(80) // 40, 2)
+    trace = []
+    part, best_B, best_H = golden_section_search(
+        g, MCMCConfig(rng_seed=0, execution_mode=mode),
+        initial_partition=start, trace=trace)
+    assert any(e["phase"] == "halve" and e["B"] == 1 for e in trace)
+    assert len(part) == 80 and part.num_blocks == best_B
+    assert best_H <= description_length(g, start) + 1e-9
 
 
 # ---------------------------------------------------------------------------
