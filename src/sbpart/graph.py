@@ -28,7 +28,7 @@ class Graph:
     """
 
     __slots__ = ("num_nodes", "ptr", "nbr", "w_out", "w_in", "cumw",
-                 "degree", "total_edge_weight", "_edges")
+                 "degree", "total_edge_weight")
 
     def __init__(self, num_nodes, ptr, nbr, w_out, w_in):
         self.num_nodes = num_nodes
@@ -36,7 +36,6 @@ class Graph:
         self.cumw = np.concatenate(([0], np.cumsum(w_out + w_in)))
         self.degree = self.cumw[ptr[1:]] - self.cumw[ptr[:-1]]
         self.total_edge_weight = int(w_out.sum())
-        self._edges = None
 
     def neighbors(self, i):
         """(j, weight of i -> j, weight of j -> i) per neighbour j of i, in
@@ -46,13 +45,10 @@ class Graph:
                    self.w_in[lo:hi].tolist())
 
     def _edge_arrays(self):
-        """Source, target and weight arrays, sorted by (source, target);
-        built on the first call and shared by later ones (read-only)."""
-        if self._edges is None:
-            out = self.w_out > 0
-            src = np.repeat(np.arange(self.num_nodes), np.diff(self.ptr))
-            self._edges = src[out], self.nbr[out], self.w_out[out]
-        return self._edges
+        """Source, target and weight arrays, sorted by (source, target)."""
+        out = self.w_out > 0
+        src = np.repeat(np.arange(self.num_nodes), np.diff(self.ptr))
+        return src[out], self.nbr[out], self.w_out[out]
 
     def edge_list(self):
         """(source, target, weight) per edge, sorted by (source, target)."""
@@ -163,7 +159,7 @@ class BlockModelState:
         self.cols = cols
         self.d_out = d_out
         self.d_in = d_in
-        self.d = (np.asarray(d_out) + d_in).tolist()
+        self.d = [o + i for o, i in zip(d_out, d_in)]
 
     @property
     def num_blocks(self):
@@ -221,8 +217,9 @@ class NodeTables:
     out_j[i] and out_w[i] list node i's out-neighbours by id and the
     weights of i -> j; in_j[i] and in_w[i] its in-neighbours by id and the
     weights of j -> i; self_loop[i] is the weight of i -> i; xlogx[x] is
-    x * log(x) for x in 0..E (0.0 at 0), which covers every cell and
-    degree of M.
+    x * log(x) for an int x >= 0 (0.0 at 0): a list over 0..E, which
+    covers every cell and degree of M, up to E = _XLOGX_LIST_MAX, and
+    above it a dict filled on first use with the values a probe meets.
     """
 
     __slots__ = ("out_j", "out_w", "in_j", "in_w", "self_loop", "xlogx")
@@ -249,9 +246,20 @@ class NodeTables:
         at = np.flatnonzero(nbr == row)
         loop[row[at]] = graph.w_out[at]
         self.self_loop = loop.tolist()
-        log = math.log
-        self.xlogx = [0.0] + [x * log(x) for x in
-                              range(1, graph.total_edge_weight + 1)]
+        E, log = graph.total_edge_weight, math.log
+        self.xlogx = _XLogX({0: 0.0}) if E > _XLOGX_LIST_MAX else \
+            [0.0] + [x * log(x) for x in range(1, E + 1)]
+
+
+# a list indexes faster than a dict, but the input weights, not the edge
+# count, set E; 2**18 entries take about 8 MB
+_XLOGX_LIST_MAX = 1 << 18
+
+
+class _XLogX(dict):
+    def __missing__(self, x):
+        v = self[x] = x * math.log(x)
+        return v
 
 
 def node_block_edge_counts(tables, assignment, i):

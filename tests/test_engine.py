@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import chisquare
 
 from sbpart import engine
+from sbpart import graph as graph_module
 from sbpart.engine import (MCMCConfig, description_length,
                            golden_section_search, mcmc_sweep, merge_blocks,
                            merge_delta_S, run_mcmc, snapshot_proposals,
@@ -160,7 +161,7 @@ def test_hastings_symmetric_state():
     # with one edge into each block the forward and backward sums coincide
     state = BlockModelState([{0: 2, 1: 1}, {0: 1, 1: 2}],
                             [{0: 2, 1: 1}, {0: 1, 1: 2}],
-                            np.array([3, 3]), np.array([3, 3]))
+                            [3, 3], [3, 3])
     g = build_graph([(0, 1, 1), (2, 0, 1)], num_nodes=3)
     counts = node_block_edge_counts(NodeTables(g), [1, 0, 1], 0)
     assert counts.combined == {0: 1, 1: 1}
@@ -171,9 +172,7 @@ def test_hastings_symmetric_state():
 
 
 def test_hastings_empty_counts():
-    state = BlockModelState([{}, {}], [{}, {}],
-                            np.zeros(2, dtype=np.int64),
-                            np.zeros(2, dtype=np.int64))
+    state = BlockModelState([{}, {}], [{}, {}], [0, 0], [0, 0])
     g = build_graph([(0, 1, 1)], num_nodes=3)
     counts = node_block_edge_counts(NodeTables(g), [0, 0, 1], 2)
     pf, pb = hastings_correction(2, counts, state, state, 1, 0, 2)
@@ -462,6 +461,34 @@ def test_search_two_cliques():
     assert len(set(a[:10].tolist())) == 1
     assert len(set(a[10:].tolist())) == 1
     assert a[0] != a[10]
+
+
+def test_search_sequential_huge_weights():
+    """Edge weights of 1e12 sum to far more than a table over 0..E could
+    hold; the sequential search still runs every probe and reports the
+    description length of the partition it returns."""
+    heavy = [(i, j, 10**12) for i, j, _ in
+             directed_clique(5) + directed_clique(5, offset=5)]
+    g = build_graph(heavy + [(0, 5, 1)])
+    trace = []
+    part, best_B, best_H = golden_section_search(
+        g, MCMCConfig(rng_seed=0, max_sweeps=20), trace=trace)
+    assert len(trace) > 2 and part.num_blocks == best_B
+    assert best_H == description_length(g, part)
+
+
+def test_xlogx_dict_matches_list(monkeypatch):
+    """The x log x table's dict form (for large E) gives the sequential
+    search the same bits as its list form."""
+    g = generate(GeneratorConfig(num_nodes=60, num_blocks=3,
+                                 target_total_edges=400, rng_seed=4)).graph
+    config = MCMCConfig(rng_seed=1, max_sweeps=10)
+    part, B, H = golden_section_search(g, config)
+    monkeypatch.setattr(graph_module, "_XLOGX_LIST_MAX", 0)
+    assert isinstance(NodeTables(g).xlogx, dict)
+    part2, B2, H2 = golden_section_search(g, config)
+    assert B2 == B and repr(H2) == repr(H)
+    assert np.array_equal(part2.assignment, part.assignment)
 
 
 def test_search_single_clique():
