@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(text):
+    """A flag value that must be a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _config(cls, **values):
     """Build a config from flag values; a value it rejects is a usage error."""
     try:
@@ -214,9 +221,8 @@ def ratio_vs_log2(row1, row2):
 
 
 def cmd_bench(args):
-    sizes = [int(x) for x in args.sizes.split(",")]
     config = _engine_config(args)
-    rows = bench_rows(sizes, config, repeats=args.repeats, seed=args.seed)
+    rows = bench_rows(args.sizes, config, repeats=args.repeats, seed=args.seed)
     many = len(rows) > 1
     lines = ["num_edges\tseconds\trate_edges_per_second"
              + "\tratio_vs_log2" * many]
@@ -251,7 +257,7 @@ def build_parser():
     g.add_argument("--alpha", type=float, default=10.0,
                    help="Dirichlet concentration for block sizes")
     g.add_argument("--uniform-degrees", action="store_true")
-    g.add_argument("--stages", type=int, default=1)
+    g.add_argument("--stages", type=_count, default=1)
     g.add_argument("--stream-mode", choices=["edge-emergence", "snowball"],
                    default="edge-emergence")
     g.add_argument("--seed", type=int, default=0)
@@ -275,7 +281,7 @@ def build_parser():
 
     s = sub.add_parser("stream", help="partition staged edge files in order")
     s.add_argument("prefix", help="stage files are <prefix>_stage_<k>.tsv")
-    s.add_argument("--stages", type=int, required=True)
+    s.add_argument("--stages", type=_count, required=True)
     s.add_argument("--truth")
     s.add_argument("--mask")
     s.add_argument("--cold-each-stage", action="store_true")
@@ -285,8 +291,9 @@ def build_parser():
 
     b = sub.add_parser("bench", help="throughput across graph sizes")
     b.add_argument("--sizes", required=True,
+                   type=lambda text: [_count(x) for x in text.split(",")],
                    help="comma-separated edge counts, e.g. 1000,10000")
-    b.add_argument("--repeats", type=int, default=1)
+    b.add_argument("--repeats", type=_count, default=1)
     b.add_argument("-o", "--output")
     _engine_flags(b)
     b.set_defaults(func=cmd_bench)

@@ -33,6 +33,8 @@ from .graph import (
 )
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+PROBE_SWEEPS = 8        # sweep budget of each intermediate search probe
+CONVERGENCE_WINDOW = 3  # sweeps over which run_mcmc averages H's change
 
 
 @dataclass
@@ -48,9 +50,7 @@ class MCMCConfig:
     """
     beta: float = 3.0
     max_sweeps: int = 100
-    probe_sweeps: int = 8  # sweep budget per intermediate search probe
     convergence_threshold: float = 1e-4
-    convergence_window: int = 3
     merge_reduction_rate: float = 0.5
     merge_proposals_per_block: int = 10
     rng_seed: int = 0
@@ -62,9 +62,8 @@ class MCMCConfig:
             raise ValueError("beta must be positive")
         if not 0.0 < self.merge_reduction_rate < 1.0:
             raise ValueError("merge_reduction_rate must be in (0, 1)")
-        if self.max_sweeps < 1 or self.convergence_window < 1 \
-                or self.probe_sweeps < 1:
-            raise ValueError("sweep counts must be positive")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be positive")
         if self.convergence_threshold <= 0:
             raise ValueError("convergence_threshold must be positive")
         if self.execution_mode not in ("sequential", "batch"):
@@ -153,7 +152,7 @@ def _evaluate(tables, a, state, cache, B, beta, i, j,
     dir_a, dis_a = dir_ - ki_in, dis + ki_in
     # S collapses to sum(w log w) - sum(d_out log d_out) - sum(d_in log d_in)
     # over the whole matrix, so dS only involves changed cells and degrees
-    xlogx = tables.xlogx
+    xlogx = state.xlogx
     dS = 0.0
     for (t1, t2), dw in delta.items():
         if dw == 0:
@@ -467,7 +466,7 @@ def run_mcmc(graph, partition, config, sweep_base=0, sweep_cap=None):
         state = recompute_block_matrix(graph, partition)
         tables = NodeTables(graph)
     H = description_length(graph, partition)
-    window = deque(maxlen=config.convergence_window)
+    window = deque(maxlen=CONVERGENCE_WINDOW)
     sweeps = 0
     for t in range(cap):
         partition, state, H_new, _ = mcmc_sweep(
@@ -496,7 +495,7 @@ def merge_delta_S(state, r, s):
     and s) keeps its w log w, so only the cells they share enter, with the
     2 x 2 {r, s} core and the four degrees.
     """
-    log = math.log
+    xlogx = state.xlogx
     rows, cols = state.rows, state.cols
     dS = 0.0
     for a, b in ((rows[r], rows[s]), (cols[r], cols[s])):
@@ -505,25 +504,17 @@ def merge_delta_S(state, r, s):
         for t, x in a.items():
             y = b.get(t)
             if y and t != r and t != s:
-                dS += x * log(x) + y * log(y) - (x + y) * log(x + y)
+                dS += xlogx[x] + xlogx[y] - xlogx[x + y]
     core = (rows[r].get(r, 0), rows[r].get(s, 0),
             rows[s].get(r, 0), rows[s].get(s, 0))
     for w in core:
-        if w:
-            dS += w * log(w)
-    merged = sum(core)
-    if merged:
-        dS -= merged * log(merged)
-    dor, dos = int(state.d_out[r]), int(state.d_out[s])
-    dir_, dis = int(state.d_in[r]), int(state.d_in[s])
+        dS += xlogx[w]
+    dS -= xlogx[sum(core)]
+    dor, dos = state.d_out[r], state.d_out[s]
+    dir_, dis = state.d_in[r], state.d_in[s]
     for db in (dor, dos, dir_, dis):
-        if db:
-            dS -= db * log(db)
-    if dor + dos:
-        dS += (dor + dos) * log(dor + dos)
-    if dir_ + dis:
-        dS += (dir_ + dis) * log(dir_ + dis)
-    return dS
+        dS -= xlogx[db]
+    return dS + xlogx[dor + dos] + xlogx[dir_ + dis]
 
 
 def _merge_into(state, r, s):
@@ -761,7 +752,7 @@ def golden_section_search(graph, config, initial_partition=None, trace=None):
     sweep_counter = [0]
     cache = {}  # probe target -> [H, assignment, actual_B]
 
-    def probe(part, phase, target, cap=config.probe_sweeps):
+    def probe(part, phase, target, cap=PROBE_SWEEPS):
         start_B = part.num_blocks
         part, H, sweeps = run_mcmc(graph, part, config,
                                    sweep_base=sweep_counter[0], sweep_cap=cap)
@@ -843,7 +834,6 @@ def golden_section_search(graph, config, initial_partition=None, trace=None):
                 x = x + 1 if (hi - mid) >= (mid - lo) else x - 1
                 if x <= lo or x >= hi:
                     break
-            run_at(mid, "golden")
             Hx = run_at(x, "golden")
             if Hx < cache[mid][0]:
                 if x > mid:
@@ -856,8 +846,7 @@ def golden_section_search(graph, config, initial_partition=None, trace=None):
                 else:
                     lo = x
         for bb in range(lo, hi + 1):
-            if bb >= 1:
-                run_at(bb, "golden")
+            run_at(bb, "golden")
 
     # polish the winner to full convergence (probes run on a sweep budget)
     best = min(cache.values(), key=lambda v: (v[0], v[2]))

@@ -145,14 +145,23 @@ class Partition:
         return Partition(np.arange(num_nodes, dtype=np.int64), num_nodes)
 
 
+class _XLogX(dict):
+    def __missing__(self, x):
+        v = self[x] = x * math.log(x)
+        return v
+
+
 class BlockModelState:
     """Inter-block edge-count matrix M with block degree vectors (lists,
     read one block at a time).
 
     rows[r][s] == cols[s][r] == total weight of edges from block r to s.
+    xlogx[x] is x * log(x) for an int x >= 0 (0.0 at 0), filled on first
+    use: the one x log x that the exact kernels read, holding only the
+    cells and degrees they meet.
     """
 
-    __slots__ = ("rows", "cols", "d_out", "d_in", "d")
+    __slots__ = ("rows", "cols", "d_out", "d_in", "d", "xlogx")
 
     def __init__(self, rows, cols, d_out, d_in):
         self.rows = rows
@@ -160,6 +169,7 @@ class BlockModelState:
         self.d_out = d_out
         self.d_in = d_in
         self.d = [o + i for o, i in zip(d_out, d_in)]
+        self.xlogx = _XLogX({0: 0.0})
 
     @property
     def num_blocks(self):
@@ -216,13 +226,10 @@ class NodeTables:
 
     out_j[i] and out_w[i] list node i's out-neighbours by id and the
     weights of i -> j; in_j[i] and in_w[i] its in-neighbours by id and the
-    weights of j -> i; self_loop[i] is the weight of i -> i; xlogx[x] is
-    x * log(x) for an int x >= 0 (0.0 at 0): a list over 0..E, which
-    covers every cell and degree of M, up to E = _XLOGX_LIST_MAX, and
-    above it a dict filled on first use with the values a probe meets.
+    weights of j -> i; self_loop[i] is the weight of i -> i.
     """
 
-    __slots__ = ("out_j", "out_w", "in_j", "in_w", "self_loop", "xlogx")
+    __slots__ = ("out_j", "out_w", "in_j", "in_w", "self_loop")
 
     def __init__(self, graph):
         n, nbr = graph.num_nodes, graph.nbr
@@ -246,20 +253,6 @@ class NodeTables:
         at = np.flatnonzero(nbr == row)
         loop[row[at]] = graph.w_out[at]
         self.self_loop = loop.tolist()
-        E, log = graph.total_edge_weight, math.log
-        self.xlogx = _XLogX({0: 0.0}) if E > _XLOGX_LIST_MAX else \
-            [0.0] + [x * log(x) for x in range(1, E + 1)]
-
-
-# a list indexes faster than a dict, but the input weights, not the edge
-# count, set E; 2**18 entries take about 8 MB
-_XLOGX_LIST_MAX = 1 << 18
-
-
-class _XLogX(dict):
-    def __missing__(self, x):
-        v = self[x] = x * math.log(x)
-        return v
 
 
 def node_block_edge_counts(tables, assignment, i):

@@ -64,11 +64,13 @@ def write_edge_tsv(path, edges):
 
 
 def read_assignment_tsv(path, num_nodes=None):
-    """node<TAB>block file into a dense 0-based assignment list."""
+    """node<TAB>block file, a line per node, into a 0-based assignment list."""
     pairs = {}
     for lineno, (node, block) in _int_rows(path, (2,)):
         if node < 1 or block < 1:
             raise DataError(f"{path}:{lineno}: ids are 1-based")
+        if node - 1 in pairs:
+            raise DataError(f"{path}:{lineno}: node {node} listed twice")
         pairs[node - 1] = block - 1
     if not pairs:
         raise DataError(f"{path}: empty assignment file")
@@ -90,9 +92,13 @@ def write_assignment_tsv(path, assignment):
 def read_mask_tsv(path, num_nodes):
     """node<TAB>flag file (flag 0/1) into a boolean list."""
     mask = [False] * num_nodes
+    seen = set()
     for lineno, (node, flag) in _int_rows(path, (2,)):
         if not 1 <= node <= num_nodes:
             raise DataError(f"{path}:{lineno}: node id out of range")
+        if node in seen:
+            raise DataError(f"{path}:{lineno}: node {node} listed twice")
+        seen.add(node)
         mask[node - 1] = bool(flag)
     return mask
 

@@ -265,8 +265,9 @@ def test_exit_code_data_error(tmp_path):
 
 
 def test_exit_code_config_error(tmp_path, capsys):
-    """A flag value that the engine or generator config rejects is a usage
-    error, and it is reported before any input file is read."""
+    """A flag value that the engine or generator config rejects, or a stage,
+    repeat or size count below 1, is a usage error, and it is reported
+    before any input file is read."""
     edge_file = str(tmp_path / "cliques.tsv")
     write_two_cliques(edge_file)
     runs = [["partition", edge_file, "-o", str(tmp_path / "x"),
@@ -276,12 +277,23 @@ def test_exit_code_config_error(tmp_path, capsys):
             ["partition", str(tmp_path / "missing.tsv"), "-o",
              str(tmp_path / "y"), "--beta", "-1"],
             ["generate", "-N", "10", "-B", "20", "--edges", "50",
-             "-o", str(tmp_path / "g")]]
+             "-o", str(tmp_path / "g")],
+            ["stream", str(tmp_path / "missing"), "--stages", "0"],
+            ["bench", "--sizes", "100", "--repeats", "0"],
+            ["bench", "--sizes", "abc"],
+            ["bench", "--sizes", "0"],
+            ["bench", "--sizes", "-5"],
+            ["generate", "-N", "10", "-B", "2", "--edges", "50",
+             "--stages", "0", "-o", str(tmp_path / "g")]]
     for argv in runs:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
-    assert "beta must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "beta must be positive" in err
+    assert "argument --stages: not a positive integer: '0'" in err
+    assert "argument --sizes: not a positive integer: 'abc'" in err
+    assert os.listdir(tmp_path) == ["cliques.tsv"]
 
 
 def test_mask_without_truth_is_usage_error(tmp_path, capsys):
@@ -327,6 +339,28 @@ def test_mask_bad_flag_names_file_and_line(tmp_path, capsys):
                "--partition", TABLE1_OUTPUT, "--mask", str(mask_file)])
     assert rc == 2
     assert f"{mask_file}:1: non-integer field" in capsys.readouterr().err
+
+
+def test_evaluate_duplicate_partition_node_is_data_error(tmp_path, capsys):
+    """A node listed twice in a partition file exits 2 and names the
+    file and the second line."""
+    part = tmp_path / "part.tsv"
+    part.write_text(open(TABLE1_OUTPUT).read() + "3\t1\n")
+    lines = len(part.read_text().splitlines())
+    rc = main(["evaluate", "--truth", TABLE1_TRUTH, "--partition", str(part)])
+    assert rc == 2
+    assert f"{part}:{lines}: node 3 listed twice" in capsys.readouterr().err
+
+
+def test_evaluate_duplicate_mask_node_is_data_error(tmp_path, capsys):
+    """A node listed twice in a mask file exits 2 and names the file and
+    the second line."""
+    mask_file = tmp_path / "mask.tsv"
+    mask_file.write_text("1\t1\n2\t1\n1\t0\n")
+    rc = main(["evaluate", "--truth", TABLE1_TRUTH,
+               "--partition", TABLE1_OUTPUT, "--mask", str(mask_file)])
+    assert rc == 2
+    assert f"{mask_file}:3: node 1 listed twice" in capsys.readouterr().err
 
 
 def test_stream_short_truth_is_data_error(tmp_path, capsys):

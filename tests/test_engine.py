@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import chisquare
 
 from sbpart import engine
-from sbpart import graph as graph_module
 from sbpart.engine import (MCMCConfig, description_length,
                            golden_section_search, mcmc_sweep, merge_blocks,
                            merge_delta_S, run_mcmc, snapshot_proposals,
@@ -475,20 +474,6 @@ def test_search_sequential_huge_weights():
         g, MCMCConfig(rng_seed=0, max_sweeps=20), trace=trace)
     assert len(trace) > 2 and part.num_blocks == best_B
     assert best_H == description_length(g, part)
-
-
-def test_xlogx_dict_matches_list(monkeypatch):
-    """The x log x table's dict form (for large E) gives the sequential
-    search the same bits as its list form."""
-    g = generate(GeneratorConfig(num_nodes=60, num_blocks=3,
-                                 target_total_edges=400, rng_seed=4)).graph
-    config = MCMCConfig(rng_seed=1, max_sweeps=10)
-    part, B, H = golden_section_search(g, config)
-    monkeypatch.setattr(graph_module, "_XLOGX_LIST_MAX", 0)
-    assert isinstance(NodeTables(g).xlogx, dict)
-    part2, B2, H2 = golden_section_search(g, config)
-    assert B2 == B and repr(H2) == repr(H)
-    assert np.array_equal(part2.assignment, part.assignment)
 
 
 def test_search_single_clique():
