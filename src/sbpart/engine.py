@@ -2,9 +2,22 @@
 golden-section search over the number of blocks minimizing description length.
 
 The objective for merges and nodal moves is the log posterior
-S = sum_{t1,t2} M[t1,t2] * log(M[t1,t2] / (d_out[t1] * d_in[t2]))
-restricted to the affected rows/columns when evaluating a single move, which
-is exact because a node move only touches rows and columns r and s.
+S = sum_{t1,t2} M[t1,t2] * log(M[t1,t2] / (d_out[t1] * d_in[t2])),
+which collapses to sum x log x over M's cells minus sum x log x over the
+block out- and in-degrees. A node move r -> s only touches rows and columns
+r and s, so its dS reads only them. Both nodal sweeps score a move with one
+closed form, summed in one term order:
+
+1. each block t other than r and s, in the order the node's neighbour table
+   first reaches it (`NodeBlockEdgeCounts.combined`): the cells (r, t),
+   (s, t), (t, r) and (t, s), which change by -k_to, +k_to, -k_from and
+   +k_from, the node's edge weights to and from t;
+2. the 2 x 2 core (r, r), (r, s), (s, r), (s, s) (`graph.core_change`);
+3. the degrees d_out[r], d_out[s], d_in[r], d_in[s].
+
+A cell adds x log x before the move minus after it, a degree after minus
+before, so the per-node kernel (`_evaluate`) and the numpy snapshot pass
+(`_score_moves`) give the same dS bit for bit.
 All logarithms are natural.
 """
 from __future__ import annotations
@@ -24,9 +37,9 @@ from .graph import (
     NodeTables,
     Partition,
     _bump,
-    apply_delta,
+    apply_move,
     block_cells,
-    move_delta,
+    core_change,
     node_block_edge_counts,
     recompute_block_matrix,
     runs,
@@ -66,6 +79,10 @@ class MCMCConfig:
             raise ValueError("max_sweeps must be positive")
         if self.convergence_threshold <= 0:
             raise ValueError("convergence_threshold must be positive")
+        if self.merge_proposals_per_block < 1:
+            raise ValueError("merge_proposals_per_block must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.execution_mode not in ("sequential", "batch"):
             raise ValueError(f"unknown execution mode {self.execution_mode!r}")
         if not 1 <= self.workers <= (os.cpu_count() or 1):
@@ -135,53 +152,51 @@ def _evaluate(tables, a, state, cache, B, beta, i, j,
     mutation.
 
     Returns (r, s, commit, (delta_S, p_forward, p_backward, p_accept)) for
-    the move r -> s, where commit is the move_delta triple (delta, ki_out,
-    ki_in) if the move was accepted, else None.
+    the move r -> s, where commit is the node's NodeBlockEdgeCounts (what
+    `apply_move` reads) if the move was accepted, else None.
     """
     r = a[i]
     s = _propose(a, state, cache, B, j, u_coin, u_prop)
     if s == r:
         return r, s, None, (0.0, 0.0, 0.0, 0.0)
     counts = node_block_edge_counts(tables, a, i)
-    delta, ki_out, ki_in = move_delta(counts, r, s)
-    rows, cols = state.rows, state.cols
-    d_out, d_in, d = state.d_out, state.d_in, state.d
-    dor, dos = d_out[r], d_out[s]
-    dir_, dis = d_in[r], d_in[s]
-    dor_a, dos_a = dor - ki_out, dos + ki_out
-    dir_a, dis_a = dir_ - ki_in, dis + ki_in
-    # S collapses to sum(w log w) - sum(d_out log d_out) - sum(d_in log d_in)
-    # over the whole matrix, so dS only involves changed cells and degrees
-    xlogx = state.xlogx
-    dS = 0.0
-    for (t1, t2), dw in delta.items():
-        if dw == 0:
-            continue
-        w_b = rows[t1].get(t2, 0)
-        dS += xlogx[w_b]
-        dS -= xlogx[w_b + dw]
-    for db, da in ((dor, dor_a), (dos, dos_a), (dir_, dir_a), (dis, dis_a)):
-        dS -= xlogx[db]
-        dS += xlogx[da]
-
-    # Hastings correction: the proposal probabilities of s before the move
-    # and of r after it. Cells (t, r) and (r, t) lose the node's k edges
-    # from and to t, unless t is r or s, where other updates meet them.
-    dr_a = dor_a + dir_a
-    ds_a = dos_a + dis_a
-    pf = 0.0
-    pb = 0.0
-    row_r, col_r = rows[r], cols[r]
-    row_s, col_s = rows[s], cols[s]
+    out_c = counts.out_counts
+    k_out, k_in = sum(out_c.values()), sum(counts.in_counts.values())
+    row_r, col_r = state.rows[r], state.cols[r]
+    row_s, col_s = state.rows[s], state.cols[s]
+    core = core_change(counts, r, s)
+    d, xlogx = state.d, state.xlogx
+    # dS in the module docstring's term order; the Hastings correction sums,
+    # over the same blocks t, the proposal probabilities of s before the
+    # move and of r after it
+    dS = pf = pb = 0.0
     for t, k in counts.combined.items():
+        m_rt, m_st = row_r.get(t, 0), row_s.get(t, 0)
+        m_tr, m_ts = col_r.get(t, 0), col_s.get(t, 0)
         dt = d[t]
-        pf += k * (col_s.get(t, 0) + row_s.get(t, 0) + 1) / (dt + B)
-        if t == r or t == s:
-            m_a = col_r.get(t, 0) + delta.get((t, r), 0) \
-                + row_r.get(t, 0) + delta.get((r, t), 0)
-            pb += k * (m_a + 1) / ((dr_a if t == r else ds_a) + B)
+        pf += k * (m_ts + m_st + 1) / (dt + B)
+        if t == r:
+            back, dt = 2 * core[0], dt - k_out - k_in
+        elif t == s:
+            back, dt = core[1] + core[2], dt + k_out + k_in
         else:
-            pb += k * (col_r.get(t, 0) + row_r.get(t, 0) - k + 1) / (dt + B)
+            to = out_c.get(t, 0)
+            # a direction without edges changes no cell: its terms are 0.0
+            if to:
+                dS += xlogx[m_rt] - xlogx[m_rt - to]
+                dS += xlogx[m_st] - xlogx[m_st + to]
+            if to != k:
+                dS += xlogx[m_tr] - xlogx[m_tr - k + to]
+                dS += xlogx[m_ts] - xlogx[m_ts + k - to]
+            back = -k
+        pb += k * (m_tr + m_rt + back + 1) / (dt + B)
+    for m, c in zip((row_r.get(r, 0), row_r.get(s, 0), row_s.get(r, 0),
+                     row_s.get(s, 0)), core):
+        dS += xlogx[m] - xlogx[m + c]
+    d_out, d_in = state.d_out, state.d_in
+    for m, c in ((d_out[r], -k_out), (d_out[s], k_out), (d_in[r], -k_in),
+                 (d_in[s], k_in)):
+        dS += xlogx[m + c] - xlogx[m]
     if pf <= 0.0:
         # unreachable with the +1 smoothing whenever K is nonempty; guarded
         p_accept = 1.0 if dS < 0 else 0.0
@@ -190,7 +205,7 @@ def _evaluate(tables, a, state, cache, B, beta, i, j,
             p_accept = min(math.exp(-beta * dS) * pb / pf, 1.0)
         except OverflowError:
             p_accept = 1.0
-    commit = (delta, ki_out, ki_in) if u_accept <= p_accept else None
+    commit = counts if u_accept <= p_accept else None
     return r, s, commit, (dS, pf, pb, p_accept)
 
 
@@ -302,106 +317,66 @@ def _score_moves(graph, b, B, nodes, r, s, size, get_m, d_out, d_in, d):
     term by term in the order `_evaluate` sums it."""
     n, m = len(nodes), int(size.sum())
     pos = np.repeat(np.arange(n), size)
-    q = np.arange(m) - np.repeat(np.cumsum(size) - size, size)
-    e = graph.ptr[nodes][pos] + q
+    e = graph.ptr[nodes][pos] + np.arange(m) \
+        - np.repeat(np.cumsum(size) - size, size)
     j = graph.nbr[e]
     t = b[j]
     wo, wi = graph.w_out[e], graph.w_in[e]
-    loop = j == nodes[pos]
 
-    # the node's neighbour blocks t, each with k_t, its edge weight to t,
-    # and the cells (r, t), (s, t), (t, r) and (t, s) of M
+    # the node's neighbour blocks t in the order its row first reaches them,
+    # each with k_to and k_from, its edge weights to and from t, and the
+    # cells (r, t), (s, t), (t, r) and (t, s) of M
     order, start = runs(pos * B + t)
-    new_run = np.zeros(m, dtype=np.int64)
-    new_run[start[1:]] = 1
-    group = np.empty(m, dtype=np.int64)
-    group[order] = np.cumsum(new_run)
-    k_to = np.add.reduceat(wo[order], start)
-    k_from = np.add.reduceat(wi[order], start)
+    reach = np.argsort(order[start])
+    k_to = np.add.reduceat(wo[order], start)[reach]
+    k_from = np.add.reduceat(wi[order], start)[reach]
     k = k_to + k_from
-    gp, gt = pos[order[start]], t[order[start]]
+    head = order[start][reach]
+    gp, gt = pos[head], t[head]
     gr, gs = r[gp], s[gp]
-    G = len(start)
-    lp = np.flatnonzero(loop)
-    # M before the move at each group's four cells, then at (s, s) for
-    # each self-loop
+    at_r, at_s = gt == gr, gt == gs
     before = get_m(np.concatenate((gr * B + gt, gs * B + gt, gt * B + gr,
-                                   gt * B + gs, s[pos[lp]] * (B + 1))))
-    m_rt, m_st, m_tr, m_ts = (before[x * G:(x + 1) * G] for x in range(4))
-    by_reach = np.argsort(order[start])   # the order the row reaches them
+                                   gt * B + gs))).reshape(4, -1)
+    m_rt, m_st, m_tr, m_ts = before
 
-    # The change to M, as the cell updates of move_delta in the order it
-    # makes them: (r, t), then (s, t), over the out-entries (a row's
-    # prefix); (s, s) for a self-loop; (t, r), then (t, s), over the
-    # in-entries by neighbour id. A self-loop's weight only leaves (r, r)
-    # for (s, s), so its other updates add 0. Each cell of a node has one
-    # id in [0, 4B): by column in row r, then row s, else by row in column
-    # r, then column s.
-    oi, ii = np.flatnonzero(wo), np.flatnonzero(wi)
-    po, pi, pl = pos[oi], pos[ii], pos[lp]
-    n_out = np.bincount(po, minlength=n)
-    n_in = np.bincount(pi, minlength=n)
-    width = 2 * n_out + 1 + 2 * n_in
-    base = np.cumsum(width) - width
-    qi = np.empty(len(ii), dtype=np.int64)
-    qi[np.argsort(pi * graph.num_nodes + j[ii])] = \
-        np.arange(len(ii)) - np.repeat(np.cumsum(n_in) - n_in, n_in)
-    s_in = base[pi] + 2 * n_out[pi] + 1 + qi
-    slot = np.concatenate((base[po] + q[oi], base[po] + n_out[po] + q[oi],
-                           base[pl] + 2 * n_out[pl], s_in, s_in + n_in[pi]))
-    ri, si, ti = r[pi], s[pi], t[ii]
-    in_r, in_s = ti == ri, ti == si
-    cid = np.concatenate((
-        t[oi], B + t[oi], B + s[pl],
-        np.where(in_r, ri, np.where(in_s, B + ri, 2 * B + ti)),
-        np.where(in_r, si, np.where(in_s, B + si, 3 * B + ti))))
-    key = np.concatenate((po, po, pl, pi, pi)) * (4 * B) + cid
-    # where each update's cell value sits in `before`
-    at = np.concatenate((group[oi], G + group[oi], 4 * G + np.arange(len(lp)),
-                         2 * G + group[ii], 3 * G + group[ii]))
-    wo_, wi_ = np.where(loop[oi], 0, wo[oi]), np.where(loop[ii], 0, wi[ii])
-    dw = np.concatenate((-wo[oi], wo_, wo[lp], -wi_, wi_))
-    by_slot = np.full(base[-1] + width[-1], -1)
-    by_slot[slot] = np.arange(len(slot))
-    by_slot = by_slot[by_slot >= 0]
-    key, at, dw = key[by_slot], at[by_slot], dw[by_slot]
-    order, start = runs(key)
-    delta = np.add.reduceat(dw[order], start)
-    first = order[start]
-    key = key[first]
-    seq = np.argsort(first)
-    seq = seq[delta[seq] != 0]
-    w_b = before[at[first[seq]]]
-    k_out = np.bincount(po, weights=wo[oi], minlength=n).astype(np.int64)
-    k_in = np.bincount(pi, weights=wi[ii], minlength=n).astype(np.int64)
-    dor, dos, dir_, dis = d_out[r], d_out[s], d_in[r], d_in[s]
-    degrees = np.column_stack((dor, dor - k_out, dos, dos + k_out,
-                               dir_, dir_ - k_in, dis, dis + k_in))
-    terms = _xlogx(np.concatenate((
-        np.column_stack((w_b, w_b + delta[seq])).ravel(), degrees.ravel())))
-    terms[1:2 * len(seq):2] *= -1   # w log w after the move
-    terms[2 * len(seq)::2] *= -1    # degree entropies before it
-    dS = np.bincount(np.concatenate((np.repeat(key[seq] // (4 * B), 2),
-                                     np.repeat(np.arange(n), 8))),
+    # per node: its weights to and from r and s, its self-loop w, its out-
+    # and in-degree, and core_change's 2 x 2 core from them
+    to_r, from_r, to_s, from_s, k_out, k_in = np.stack([
+        np.bincount(gp, weights=x, minlength=n) for x in (
+            k_to * at_r, k_from * at_r, k_to * at_s, k_from * at_s, k_to,
+            k_from)]).astype(np.int64)
+    w = np.zeros(n, dtype=np.int64)
+    loop = np.flatnonzero(j == nodes[pos])
+    w[pos[loop]] = wo[loop]
+    core = np.column_stack((w - to_r - from_r, from_r - to_s - w,
+                            to_r - from_s - w, to_s + from_s + w))
+
+    # dS in `_evaluate`'s order: each node's other blocks t, its core, its
+    # degrees
+    other = ~(at_r | at_s)
+    cell = np.concatenate((before.T[other].ravel(), get_m(np.column_stack(
+        (r * (B + 1), r * B + s, s * B + r, s * (B + 1))).ravel())))
+    change = np.concatenate((np.column_stack(
+        (-k_to, k_to, -k_from, k_from))[other].ravel(), core.ravel()))
+    deg = np.column_stack((d_out[r], d_out[s], d_in[r], d_in[s])).ravel()
+    dk = np.column_stack((-k_out, k_out, -k_in, k_in)).ravel()
+    terms = np.concatenate((_xlogx(cell) - _xlogx(cell + change),
+                            _xlogx(deg + dk) - _xlogx(deg)))
+    dS = np.bincount(np.concatenate((np.repeat(gp[other], 4),
+                                     np.tile(np.repeat(np.arange(n), 4), 2))),
                      weights=terms, minlength=n)
 
     # Hastings correction: the proposal probabilities of s before the move
-    # and of r after it. Cells (t, r) and (r, t) lose the node's edges from
-    # and to t, unless t is r or s, where other updates meet them.
+    # and of r after it, where cells (t, r) and (r, t) lose the node's k
+    # edges with t, or take the core's change at t = r or s
     pf = k * (m_ts + m_st + 1) / (d[gt] + B)
     kk = (k_out + k_in)[gp]
-    dt_a = np.where(gt == gr, d[gr] - kk,
-                    np.where(gt == gs, d[gs] + kk, d[gt]))
-    d_tr, d_rt = -k_from, -k_to
-    sp = np.flatnonzero((gt == gr) | (gt == gs))
-    row = gp[sp] * (4 * B)
-    d_tr[sp], d_rt[sp] = _search(key, delta, np.concatenate((
-        row + np.where(gt[sp] == gr[sp], gr[sp], B + gr[sp]),
-        row + gt[sp]))).reshape(2, -1)
-    pb = k * (m_tr + d_tr + m_rt + d_rt + 1) / (dt_a + B)
-    gp = gp[by_reach]
-    return (dS, np.bincount(gp, weights=pf[by_reach], minlength=n),
-            np.bincount(gp, weights=pb[by_reach], minlength=n))
+    back = np.where(at_r, 2 * core[gp, 0],
+                    np.where(at_s, core[gp, 1] + core[gp, 2], -k))
+    dt = np.where(at_r, d[gr] - kk, np.where(at_s, d[gs] + kk, d[gt]))
+    pb = k * (m_tr + m_rt + back + 1) / (dt + B)
+    return (dS, np.bincount(gp, weights=pf, minlength=n),
+            np.bincount(gp, weights=pb, minlength=n))
 
 
 def mcmc_sweep(graph, partition, state, config, sweep_index=0, tables=None):
@@ -433,14 +408,13 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0, tables=None):
         accepted = 0
         for i, j, (_, u_coin, u_prop, u_accept) in zip(
                 order.tolist(), drawn.tolist(), U[order].tolist()):
-            r, s, commit, _ = _evaluate(tables, a, state, cache, B, beta, i,
+            r, s, counts, _ = _evaluate(tables, a, state, cache, B, beta, i,
                                         j, u_coin, u_prop, u_accept)
-            if commit is not None:
-                apply_delta(state, r, s, *commit)
+            if counts is not None:
+                apply_move(state, i, r, s, counts)
                 # every row of M + M^T with a changed cell
-                for t1, t2 in commit[0]:
-                    cache.pop(t1, None)
-                    cache.pop(t2, None)
+                for t in (r, s, *counts.combined):
+                    cache.pop(t, None)
                 a[i] = s
                 b[i] = s
                 accepted += 1
@@ -531,14 +505,10 @@ def _merge_into(state, r, s):
         if t != r:
             del rows[t][r]
     for t, w in row_r.items():
-        tt = s if t == r else t
-        _bump(rows[s], tt, w)
-        _bump(cols[tt], s, w)
+        _bump(state, s, s if t == r else t, w)
     for t, w in col_r.items():
-        if t == r:
-            continue
-        _bump(rows[t], s, w)
-        _bump(cols[s], t, w)
+        if t != r:
+            _bump(state, t, s, w)
     state.d_out[s] += state.d_out[r]
     state.d_in[s] += state.d_in[r]
     state.d[s] += state.d[r]

@@ -39,6 +39,8 @@ class GeneratorConfig:
             raise ValueError("block_size_concentration must be positive")
         if not 0.0 <= self.overlap_ratio < 1.0:
             raise ValueError("overlap_ratio must be in [0, 1)")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.interaction_matrix is not None:
             om = np.asarray(self.interaction_matrix, dtype=np.float64)
             if om.shape != (self.num_blocks, self.num_blocks):

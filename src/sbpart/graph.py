@@ -4,7 +4,10 @@ The block model's sufficient statistic is the B x B inter-block edge-count
 matrix M together with the per-block in/out degree vectors. M is counted as
 its sorted nonzero cells (`block_cells`); the loops that edit M in place hold
 it as a dict state (one dict per row, mirrored per column), which single-node
-moves keep exact without recomputation.
+moves keep exact without recomputation. A move r -> s of one node changes, for
+each other block t, the cells (r, t), (s, t), (t, r) and (t, s) by the node's
+edge weights to and from t, and the 2 x 2 core of r and s (`core_change`):
+the closed form that both nodal sweeps score and `apply_move` commits.
 """
 from __future__ import annotations
 
@@ -315,54 +318,35 @@ def recompute_block_matrix(graph, partition):
         B, *block_cells(graph, partition.assignment, B))
 
 
-def move_delta(counts, r, s):
-    """Sparse change to M for moving one node from block r to block s.
-
-    Returns (delta, ki_out, ki_in) where delta maps (t1, t2) -> weight change;
-    every key has r or s as one of its coordinates.
-    """
-    w_self = counts.self_loop
-    out_c, in_c = counts.out_counts, counts.in_counts
-    # The node's out/in block maps after the move: its self-loop retargets s.
-    out_a, in_a = out_c, in_c
-    if w_self:
-        out_a, in_a = dict(out_c), dict(in_c)
-        out_a[r] = out_a.get(r, 0) - w_self
-        out_a[s] = out_a.get(s, 0) + w_self
-        in_a[r] = in_a.get(r, 0) - w_self
-        in_a[s] = in_a.get(s, 0) + w_self
-    # the keys (r, t) and (s, t) are all new (r != s); the column updates
-    # below meet them at t = r or s
-    delta = {}
-    for t, w in out_c.items():
-        delta[(r, t)] = -w
-    for t, w in out_a.items():
-        delta[(s, t)] = w
-    for t, w in in_c.items():
-        key = (t, r)
-        delta[key] = delta.get(key, 0) - w
-    for t, w in in_a.items():
-        key = (t, s)
-        delta[key] = delta.get(key, 0) + w
-    if w_self:
-        # the self-loop appears once in each direction map; M holds it once
-        delta[(r, r)] = delta.get((r, r), 0) + w_self
-        delta[(s, s)] = delta.get((s, s), 0) - w_self
-    ki_out = sum(out_c.values())
-    ki_in = sum(in_c.values())
-    return delta, ki_out, ki_in
+def core_change(counts, r, s):
+    """The change to M's cells (r, r), (r, s), (s, r) and (s, s) when the
+    node of `counts` moves from block r to block s. to_x and from_x are its
+    edge weights to and from block x, and w its self-loop's weight (counted
+    in to_r and from_r), which leaves (r, r) for (s, s)."""
+    to_r, to_s = counts.out_counts.get(r, 0), counts.out_counts.get(s, 0)
+    from_r, from_s = counts.in_counts.get(r, 0), counts.in_counts.get(s, 0)
+    w = counts.self_loop
+    return (w - to_r - from_r, from_r - to_s - w, to_r - from_s - w,
+            to_s + from_s + w)
 
 
-def _bump(d, key, dw):
-    v = d.get(key, 0) + dw
+def _bump(state, t1, t2, dw):
+    """Add dw to cell (t1, t2) of M in both mirrors; a cell at 0 is
+    dropped."""
+    row, col = state.rows[t1], state.cols[t2]
+    v = row.get(t2, 0) + dw
     if v:
-        d[key] = v
-    elif key in d:
-        del d[key]
+        row[t2] = col[t1] = v
+    elif t2 in row:
+        del row[t2], col[t1]
 
 
 def apply_move(state, i, from_block, to_block, counts):
-    """Apply a single node move to the state in place (exactly).
+    """Move node i, whose edge weights to each block are `counts`
+    (`node_block_edge_counts`), from block r to block s on the state in
+    place: for each other block t the cells (r, t) and (s, t) change by
+    -/+ the node's weight to t, and (t, r) and (t, s) by -/+ its weight
+    from t; then the 2 x 2 core (`core_change`) and the four degrees.
 
     The result is bit-identical to recomputing M on the post-move partition;
     only rows/columns `from_block` and `to_block` change.
@@ -370,21 +354,22 @@ def apply_move(state, i, from_block, to_block, counts):
     r, s = from_block, to_block
     if r == s:
         raise ValueError("no-op move: from_block equals to_block")
-    apply_delta(state, r, s, *move_delta(counts, r, s))
-
-
-def apply_delta(state, r, s, delta, ki_out, ki_in):
-    """Add the M change of one node move r -> s, as returned by move_delta,
-    to the state in place. The MCMC sweep commits its moves through here."""
-    rows, cols = state.rows, state.cols
-    for (t1, t2), dw in delta.items():
-        if dw == 0:
-            continue
-        _bump(rows[t1], t2, dw)
-        _bump(cols[t2], t1, dw)
-    state.d_out[r] -= ki_out
-    state.d_out[s] += ki_out
-    state.d_in[r] -= ki_in
-    state.d_in[s] += ki_in
-    state.d[r] -= ki_out + ki_in
-    state.d[s] += ki_out + ki_in
+    for t, w in counts.out_counts.items():
+        if t != r and t != s:
+            _bump(state, r, t, -w)
+            _bump(state, s, t, w)
+    for t, w in counts.in_counts.items():
+        if t != r and t != s:
+            _bump(state, t, r, -w)
+            _bump(state, t, s, w)
+    for (t1, t2), dw in zip(((r, r), (r, s), (s, r), (s, s)),
+                            core_change(counts, r, s)):
+        _bump(state, t1, t2, dw)
+    k_out = sum(counts.out_counts.values())
+    k_in = sum(counts.in_counts.values())
+    state.d_out[r] -= k_out
+    state.d_out[s] += k_out
+    state.d_in[r] -= k_in
+    state.d_in[s] += k_in
+    state.d[r] -= k_out + k_in
+    state.d[s] += k_out + k_in

@@ -98,6 +98,9 @@ def read_mask_tsv(path, num_nodes):
             raise DataError(f"{path}:{lineno}: node id out of range")
         if node in seen:
             raise DataError(f"{path}:{lineno}: node {node} listed twice")
+        if flag not in (0, 1):
+            raise DataError(f"{path}:{lineno}: flag must be 0 or 1, "
+                            f"got {flag}")
         seen.add(node)
         mask[node - 1] = bool(flag)
     return mask

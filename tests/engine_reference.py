@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sbpart.engine import _evaluate, _propose
-from sbpart.graph import NodeTables, apply_delta
+from sbpart.graph import NodeTables, apply_move
 
 
 @dataclass
@@ -129,7 +129,7 @@ def nodal_update(i, partition, state, graph, config, rng):
                           draw_neighbor(graph, i, u[0]), u[1], u[2], u[3])
     outcome, commit = _outcome(i, evaluated), evaluated[2]
     if commit is not None:
-        apply_delta(state, r, outcome.proposed_block, *commit)
+        apply_move(state, i, r, outcome.proposed_block, commit)
         partition.assignment[i] = outcome.proposed_block
     return outcome
 

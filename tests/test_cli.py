@@ -274,6 +274,14 @@ def test_exit_code_config_error(tmp_path, capsys):
              "--beta", "-1"],
             ["partition", edge_file, "-o", str(tmp_path / "x"),
              "--workers", "0"],
+            ["partition", edge_file, "-o", str(tmp_path / "x"),
+             "--proposals", "0"],
+            ["partition", edge_file, "-o", str(tmp_path / "x"),
+             "--proposals", "-1"],
+            ["partition", edge_file, "-o", str(tmp_path / "x"),
+             "--seed", "-1"],
+            ["generate", "-N", "10", "-B", "2", "--edges", "50",
+             "--seed", "-1", "-o", str(tmp_path / "g")],
             ["partition", str(tmp_path / "missing.tsv"), "-o",
              str(tmp_path / "y"), "--beta", "-1"],
             ["generate", "-N", "10", "-B", "20", "--edges", "50",
@@ -291,6 +299,8 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "beta must be positive" in err
+    assert "merge_proposals_per_block must be positive" in err
+    assert "rng_seed must be non-negative" in err
     assert "argument --stages: not a positive integer: '0'" in err
     assert "argument --sizes: not a positive integer: 'abc'" in err
     assert os.listdir(tmp_path) == ["cliques.tsv"]
@@ -361,6 +371,19 @@ def test_evaluate_duplicate_mask_node_is_data_error(tmp_path, capsys):
                "--partition", TABLE1_OUTPUT, "--mask", str(mask_file)])
     assert rc == 2
     assert f"{mask_file}:3: node 1 listed twice" in capsys.readouterr().err
+
+
+def test_evaluate_mask_flag_other_than_0_or_1_is_data_error(tmp_path,
+                                                             capsys):
+    """A mask flag other than 0 or 1 exits 2 and names the file and line."""
+    for flag in ("2", "-1"):
+        mask_file = tmp_path / "mask.tsv"
+        mask_file.write_text(f"1\t1\n2\t{flag}\n")
+        rc = main(["evaluate", "--truth", TABLE1_TRUTH,
+                   "--partition", TABLE1_OUTPUT, "--mask", str(mask_file)])
+        assert rc == 2
+        assert (f"{mask_file}:2: flag must be 0 or 1, got {flag}"
+                in capsys.readouterr().err)
 
 
 def test_stream_short_truth_is_data_error(tmp_path, capsys):

@@ -632,6 +632,11 @@ def test_config_validation():
         MCMCConfig(execution_mode="turbo")
     with pytest.raises(ValueError):
         MCMCConfig(max_sweeps=0)
+    for value in (0, -1):
+        with pytest.raises(ValueError):
+            MCMCConfig(merge_proposals_per_block=value)
+    with pytest.raises(ValueError):
+        MCMCConfig(rng_seed=-1)
     # a config only records the worker count; building one starts no process
     for workers in (0, -1, (os.cpu_count() or 1) + 1, 10**6):
         with pytest.raises(ValueError):

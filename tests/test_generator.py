@@ -23,6 +23,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(num_nodes=10, num_blocks=2,
                         interaction_matrix=np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        GeneratorConfig(num_nodes=10, num_blocks=2, target_total_edges=10,
+                        rng_seed=-1)
 
 
 def test_truth_sizes_concentrate():
