@@ -17,7 +17,8 @@ closed form, summed in one term order:
 
 A cell adds x log x before the move minus after it, a degree after minus
 before, so the per-node kernel (`_evaluate`) and the numpy snapshot pass
-(`_score_moves`) give the same dS bit for bit.
+(`_score_moves`) give the same dS bit for bit. The batch sweep counts each
+labelling once: its `block_cells` give both H and the next pass's M.
 All logarithms are natural.
 """
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .graph import (
     _bump,
     apply_move,
     block_cells,
+    block_degrees,
     core_change,
     node_block_edge_counts,
     recompute_block_matrix,
@@ -71,13 +73,13 @@ class MCMCConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
         if not 0.0 < self.merge_reduction_rate < 1.0:
             raise ValueError("merge_reduction_rate must be in (0, 1)")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
-        if self.convergence_threshold <= 0:
+        if not self.convergence_threshold > 0:
             raise ValueError("convergence_threshold must be positive")
         if self.merge_proposals_per_block < 1:
             raise ValueError("merge_proposals_per_block must be positive")
@@ -91,23 +93,31 @@ class MCMCConfig:
 
 
 def _h(x):
-    if x <= 0.0:
-        return 0.0
     return (1.0 + x) * math.log(1.0 + x) - x * math.log(x)
 
 
 def description_length(graph, partition):
     """Total description length H of the model plus the graph given the
-    model, read from M's sorted cells: S = sum M log(M / (d_out d_in)) is
-    sum m log m - sum d_out log d_out - sum d_in log d_in."""
-    N, E, B = graph.num_nodes, graph.total_edge_weight, partition.num_blocks
+    model (see `_cells_length`)."""
+    B = partition.num_blocks
     if B < 1:
         raise ValueError("partition has no blocks")
+    return _cells_length(graph, B, block_cells(graph, partition.assignment, B))
+
+
+def _cells_length(graph, B, cells):
+    """H of a labelling over B blocks, read from M's sorted cells
+    (`block_cells`): S = sum M log(M / (d_out d_in)) is
+    sum m log m - sum d_out log d_out - sum d_in log d_in."""
+    N, E = graph.num_nodes, graph.total_edge_weight
     if E == 0:
         return N * math.log(B) if B > 1 else 0.0
-    cell, m, _ = block_cells(graph, partition.assignment, B)
-    S = (_xlogx(m).sum() - _xlogx(np.bincount(cell // B, weights=m)).sum()
-         - _xlogx(np.bincount(cell % B, weights=m)).sum())
+    cell, m, _ = cells
+    # each degree vector ends at its last nonzero block: the float sum's
+    # grouping, and so its last bits, depend on the vector's length
+    d_out, d_in = (x[:np.flatnonzero(x)[-1] + 1]
+                   for x in block_degrees(cell, m, B))
+    S = _xlogx(m).sum() - _xlogx(d_out).sum() - _xlogx(d_in).sum()
     return E * _h(B * B / E) + N * math.log(B) - float(S)
 
 
@@ -197,14 +207,11 @@ def _evaluate(tables, a, state, cache, B, beta, i, j,
     for m, c in ((d_out[r], -k_out), (d_out[s], k_out), (d_in[r], -k_in),
                  (d_in[s], k_in)):
         dS += xlogx[m + c] - xlogx[m]
-    if pf <= 0.0:
-        # unreachable with the +1 smoothing whenever K is nonempty; guarded
-        p_accept = 1.0 if dS < 0 else 0.0
-    else:
-        try:
-            p_accept = min(math.exp(-beta * dS) * pb / pf, 1.0)
-        except OverflowError:
-            p_accept = 1.0
+    # pf > 0: node i has an edge, and every term has the +1 smoothing
+    try:
+        p_accept = min(math.exp(-beta * dS) * pb / pf, 1.0)
+    except OverflowError:
+        p_accept = 1.0
     commit = counts if u_accept <= p_accept else None
     return r, s, commit, (dS, pf, pb, p_accept)
 
@@ -226,23 +233,37 @@ def _xlogx(x):
     return x * np.log(np.where(x > 0, x, 1.0))
 
 
-def _search(keys, values, query):
-    """values at `query` in the sorted `keys`, 0 where a key is absent."""
-    if not len(keys):
-        return np.zeros(len(query), dtype=values.dtype)
-    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return np.where(keys[pos] == query, values[pos], 0)
+def _chunks(size):
+    """(lo, hi) bounds of consecutive items holding about _CHUNK_ENTRIES of
+    the entries that `size` counts per item."""
+    cuts = np.flatnonzero(np.diff((np.cumsum(size) - 1) // _CHUNK_ENTRIES)) + 1
+    bounds = np.unique(np.r_[0, cuts, len(size)])
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _gather(start, size):
+    """The entries of ragged rows, row k spanning [start[k], start[k] +
+    size[k]) of a table: each entry's row k and its table index."""
+    pos = np.repeat(np.arange(len(size)), size)
+    return pos, np.repeat(start - (np.cumsum(size) - size), size) \
+        + np.arange(int(size.sum()))
 
 
 def _cell_reader(cell, m, B):
     """M at an array of cell keys r * B + s, given M's sorted nonzero cells
     (`block_cells`): read from a dense vector up to _DENSE_CELLS cells, by
-    binary search over the keys above."""
+    binary search over the keys above (0 where a key is absent)."""
     if B * B <= _DENSE_CELLS:
         dense = np.zeros(B * B, dtype=np.int64)
         dense[cell] = m
         return dense.__getitem__
-    return lambda q: _search(cell, m, q)
+    if not len(cell):
+        return np.zeros_like
+
+    def get(q):
+        pos = np.minimum(np.searchsorted(cell, q), len(cell) - 1)
+        return np.where(cell[pos] == q, m[pos], 0)
+    return get
 
 
 def _row_sampler(cell, m, B):
@@ -265,9 +286,10 @@ def _row_sampler(cell, m, B):
     return draw
 
 
-def snapshot_proposals(graph, assignment, B, beta, uniforms):
-    """Evaluate one proposal per node against the frozen labelling
-    `assignment` over B blocks, all nodes in one numpy pass.
+def snapshot_proposals(graph, b, B, cells, beta, uniforms):
+    """Evaluate one proposal per node against the frozen labelling `b` over
+    B blocks, whose M is `cells` (its `block_cells`), all nodes in one
+    numpy pass.
 
     Node i draws its proposal from uniforms[i] with the sequential sweep's
     rule and is scored with the same dS and Hastings correction, against
@@ -275,10 +297,8 @@ def snapshot_proposals(graph, assignment, B, beta, uniforms):
     proposal is their own block are dropped. Returns the arrays (nodes,
     proposed, accepted, delta_S, p_accept) over the remaining nodes.
     """
-    b = assignment
-    cell, m, _ = block_cells(graph, b, B)
-    d_out = np.bincount(cell // B, weights=m, minlength=B).astype(np.int64)
-    d_in = np.bincount(cell % B, weights=m, minlength=B).astype(np.int64)
+    cell, m, _ = cells
+    d_out, d_in = block_degrees(cell, m, B)
     d = d_out + d_in
     get_m = _cell_reader(cell, m, B)
 
@@ -299,11 +319,8 @@ def snapshot_proposals(graph, assignment, B, beta, uniforms):
     dS = np.empty(len(nodes))
     pf = np.empty(len(nodes))
     pb = np.empty(len(nodes))
-    ptr = graph.ptr
-    size = ptr[nodes + 1] - ptr[nodes]
-    cuts = np.flatnonzero(np.diff((np.cumsum(size) - 1) // _CHUNK_ENTRIES)) + 1
-    bounds = np.unique(np.r_[0, cuts, len(nodes)])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    size = graph.ptr[nodes + 1] - graph.ptr[nodes]
+    for lo, hi in _chunks(size):
         dS[lo:hi], pf[lo:hi], pb[lo:hi] = _score_moves(
             graph, b, B, nodes[lo:hi], r[lo:hi], s[lo:hi], size[lo:hi],
             get_m, d_out, d_in, d)
@@ -315,10 +332,8 @@ def snapshot_proposals(graph, assignment, B, beta, uniforms):
 def _score_moves(graph, b, B, nodes, r, s, size, get_m, d_out, d_in, d):
     """dS, p_forward and p_backward of moving each node r -> s, each summed
     term by term in the order `_evaluate` sums it."""
-    n, m = len(nodes), int(size.sum())
-    pos = np.repeat(np.arange(n), size)
-    e = graph.ptr[nodes][pos] + np.arange(m) \
-        - np.repeat(np.cumsum(size) - size, size)
+    n = len(nodes)
+    pos, e = _gather(graph.ptr[nodes], size)
     j = graph.nbr[e]
     t = b[j]
     wo, wi = graph.w_out[e], graph.w_in[e]
@@ -384,21 +399,21 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0, tables=None):
 
     sequential: nodes visited in random order against the live dict state
     of M; each accepted move updates it in place. It reads the graph from
-    `tables` (the probe's NodeTables, built here if not given), with every
-    node's neighbour drawn up front (the draw reads no state).
+    `tables` (the probe's NodeTables), with every node's neighbour drawn
+    up front (the draw reads no state).
     batch: every node is evaluated against the frozen sweep-start labelling
-    in one numpy pass (`snapshot_proposals`); the accepted moves are
-    applied at a barrier. It reads no state and returns None for it.
+    in one numpy pass (`snapshot_proposals`), whose state is M's sorted
+    cells (`block_cells`); the accepted moves are applied at a barrier,
+    and one count of the new labelling gives both H and the cells it
+    returns for the next sweep.
     Both replay the same counter-based draws for a given sweep_index.
     Returns (partition, state, H_after, num_accepted).
     """
     N = graph.num_nodes
     U = _sweep_uniforms(config.rng_seed, sweep_index, N)
     b = partition.assignment
+    B = partition.num_blocks
     if config.execution_mode == "sequential":
-        if tables is None:
-            tables = NodeTables(graph)
-        B = state.num_blocks
         beta = config.beta
         order = _sweep_permutation(config.rng_seed, sweep_index, N)
         order = order[graph.degree[order] > 0]
@@ -421,9 +436,10 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0, tables=None):
         return (partition, state, description_length(graph, partition),
                 accepted)
     nodes, proposed, accepted, _, _ = snapshot_proposals(
-        graph, b, partition.num_blocks, config.beta, U)
+        graph, b, B, state, config.beta, U)
     b[nodes[accepted]] = proposed[accepted]
-    return (partition, None, description_length(graph, partition),
+    cells = block_cells(graph, b, B)
+    return (partition, cells, _cells_length(graph, B, cells),
             int(np.count_nonzero(accepted)))
 
 
@@ -431,15 +447,20 @@ def run_mcmc(graph, partition, config, sweep_base=0, sweep_cap=None):
     """Sweep until the windowed relative improvement in H drops below the
     convergence threshold, or the sweep budget is hit. The sequential sweep
     edits a dict state of M and reads the graph's NodeTables, both built
-    here and dropped on return; the batch sweep needs neither.
+    here and dropped on return; the batch sweep carries M's sorted cells
+    from one sweep to the next, counted here for the start.
     Returns (partition relabelled to its used blocks, H, sweeps)."""
     cap = config.max_sweeps if sweep_cap is None \
         else min(sweep_cap, config.max_sweeps)
-    state = tables = None
+    tables = None
     if config.execution_mode == "sequential":
         state = recompute_block_matrix(graph, partition)
         tables = NodeTables(graph)
-    H = description_length(graph, partition)
+        H = description_length(graph, partition)
+    else:
+        B = partition.num_blocks
+        state = block_cells(graph, partition.assignment, B)
+        H = _cells_length(graph, B, state)
     window = deque(maxlen=CONVERGENCE_WINDOW)
     sweeps = 0
     for t in range(cap):
@@ -530,8 +551,7 @@ def merge_candidates(cell, m, B, uniforms):
     Returns the arrays (r, s, delta_S) over the candidates with s != r, in
     (r, p) order, where delta_S is `merge_delta_S` of merging r into s.
     """
-    d_out = np.bincount(cell // B, weights=m, minlength=B).astype(np.int64)
-    d_in = np.bincount(cell % B, weights=m, minlength=B).astype(np.int64)
+    d_out, d_in = block_degrees(cell, m, B)
     d = d_out + d_in
     U = uniforms.reshape(-1, 3)
     r = np.repeat(np.arange(B), uniforms.shape[1])
@@ -553,11 +573,8 @@ def merge_candidates(cell, m, B, uniforms):
     sides = [(keys, w, _cell_reader(keys, w, B),
               np.searchsorted(keys, np.arange(B + 1) * B))
              for keys, w in ((cell, m), (tkey[by_col], m[by_col]))]
-    size = sum(ptr[r + 1] - ptr[r] for *_, ptr in sides)
-    cuts = np.flatnonzero(np.diff((np.cumsum(size) - 1) // _CHUNK_ENTRIES)) + 1
-    bounds = np.unique(np.r_[0, cuts, len(r)])
     dS = np.empty(len(r))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in _chunks(sum(ptr[r + 1] - ptr[r] for *_, ptr in sides)):
         dS[lo:hi] = sum(_shared_cell_terms(*side, r[lo:hi], s[lo:hi], B)
                         for side in sides)
     _, _, get_m, _ = sides[0]   # M's own lookup
@@ -575,10 +592,7 @@ def _shared_cell_terms(keys, w, get, ptr, r, s, B):
     x log x + y log y - (x + y) log(x + y),
     where x = M[r, t] and y = M[s, t] (0 for t = r or s): the w log w that
     rows r and s lose by summing into one."""
-    size = ptr[r + 1] - ptr[r]
-    pos = np.repeat(np.arange(len(r)), size)
-    e = np.repeat(ptr[r] - (np.cumsum(size) - size), size) \
-        + np.arange(int(size.sum()))
+    pos, e = _gather(ptr[r], ptr[r + 1] - ptr[r])
     t = keys[e] % B
     x = w[e]
     y = np.where((t == r[pos]) | (t == s[pos]), 0, get(s[pos] * B + t))
@@ -595,22 +609,20 @@ def _best_merges(cell, m, B, proposals, rng):
     return list(zip(dS[best].tolist(), r[best].tolist(), s[best].tolist()))
 
 
-def merge_blocks(graph, partition, target_B, config, rng=None):
+def merge_blocks(graph, partition, target_B, config, rng):
     """Greedily merge blocks down to target_B and relabel to [0, target_B).
 
-    Every block's candidates are drawn and scored in one numpy pass
-    (`merge_candidates`), and each block's best enters a heap. The merges
-    are applied one at a time, cheapest first; a popped candidate is
-    re-scored against the live state first, and goes back on the heap if
-    earlier merges made it dearer than the next one. When the heap runs
-    dry, the pass runs again on the current groups; after 100 passes
-    without a candidate, every group's cheapest partner is scored directly.
-    Returns the merged partition.
+    Every block's candidates are drawn from the Generator `rng` and scored
+    in one numpy pass (`merge_candidates`), and each block's best enters a
+    heap. The merges are applied one at a time, cheapest first; a popped
+    candidate is re-scored against the live state first, and goes back on
+    the heap if earlier merges made it dearer than the next one. When the
+    heap runs dry, the pass runs again on the current groups; after 100
+    passes without a candidate, every group's cheapest partner is scored
+    directly. Returns the merged partition.
     """
     if target_B < 1:
         raise ValueError("target_B must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
     partition = partition.compact()
     B = partition.num_blocks
     if target_B > B:

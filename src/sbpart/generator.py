@@ -35,7 +35,7 @@ class GeneratorConfig:
             raise ValueError("num_blocks must be in [1, num_nodes]")
         if not -3.0 <= self.powerlaw_exponent <= -2.0:
             raise ValueError("powerlaw_exponent must be in [-3, -2]")
-        if self.block_size_concentration <= 0:
+        if not self.block_size_concentration > 0:
             raise ValueError("block_size_concentration must be positive")
         if not 0.0 <= self.overlap_ratio < 1.0:
             raise ValueError("overlap_ratio must be in [0, 1)")

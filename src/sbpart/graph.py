@@ -2,10 +2,11 @@
 
 The block model's sufficient statistic is the B x B inter-block edge-count
 matrix M together with the per-block in/out degree vectors. M is counted as
-its sorted nonzero cells (`block_cells`); the loops that edit M in place hold
-it as a dict state (one dict per row, mirrored per column), which single-node
-moves keep exact without recomputation. A move r -> s of one node changes, for
-each other block t, the cells (r, t), (s, t), (t, r) and (t, s) by the node's
+its sorted nonzero cells (`block_cells`, degrees by `block_degrees`), which
+the numpy passes read; the loops that edit M in place hold it as a dict
+state (one dict per row, mirrored per column), which single-node moves keep
+exact without recomputation. A move r -> s of one node changes, for each
+other block t, the cells (r, t), (s, t), (t, r) and (t, s) by the node's
 edge weights to and from t, and the 2 x 2 core of r and s (`core_change`):
 the closed form that both nodal sweeps score and `apply_move` commits.
 """
@@ -135,9 +136,6 @@ class Partition:
     def __len__(self):
         return len(self.assignment)
 
-    def copy(self):
-        return Partition(self.assignment.copy(), self.num_blocks)
-
     def compact(self):
         """Relabel used blocks to a dense [0, B') range."""
         used, inverse = np.unique(self.assignment, return_inverse=True)
@@ -174,23 +172,6 @@ class BlockModelState:
         self.d = [o + i for o, i in zip(d_out, d_in)]
         self.xlogx = _XLogX({0: 0.0})
 
-    @property
-    def num_blocks(self):
-        return len(self.rows)
-
-    def to_dense(self):
-        B = self.num_blocks
-        m = np.zeros((B, B), dtype=np.int64)
-        for r, row in enumerate(self.rows):
-            for s, w in row.items():
-                m[r, s] = w
-        return m
-
-    def copy(self):
-        return BlockModelState([dict(r) for r in self.rows],
-                               [dict(c) for c in self.cols],
-                               self.d_out.copy(), self.d_in.copy())
-
     @classmethod
     def from_cells(cls, B, cell, m, first):
         """The state over B blocks of the cells that `block_cells` returns.
@@ -205,8 +186,7 @@ class BlockModelState:
             rows[t1][t2] = x
         for t1, t2, x in zip(r.tolist(), s.tolist(), m.tolist()):
             cols[t2][t1] = x
-        d_out = np.bincount(r, weights=m, minlength=B).astype(np.int64)
-        d_in = np.bincount(s, weights=m, minlength=B).astype(np.int64)
+        d_out, d_in = block_degrees(cell, m, B)
         return cls(rows, cols, d_out.tolist(), d_in.tolist())
 
 
@@ -308,6 +288,13 @@ def block_cells(graph, assignment, B):
     key = assignment[src] * B + assignment[dst]
     order, start = runs(key)
     return key[order[start]], np.add.reduceat(w[order], start), order[start]
+
+
+def block_degrees(cell, m, B):
+    """The block out- and in-degree vectors (int64, length B) of M's sorted
+    nonzero cells `cell` with weights `m`."""
+    return tuple(np.bincount(x, weights=m, minlength=B).astype(np.int64)
+                 for x in (cell // B, cell % B))
 
 
 def recompute_block_matrix(graph, partition):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from engine_reference import to_dense
+
 
 def batch_outcomes(graph, assignment, state, config, uniforms):
     """Vectorized snapshot evaluation of all nodes in matrix form.
@@ -21,10 +23,10 @@ def batch_outcomes(graph, assignment, state, config, uniforms):
     from scipy.sparse import csr_matrix
 
     N = graph.num_nodes
-    B = state.num_blocks
+    B = len(state.rows)
     beta = config.beta
     b = assignment
-    M = state.to_dense()
+    M = to_dense(state)
     d_out = np.asarray(state.d_out)
     d_in = np.asarray(state.d_in)
     d = np.asarray(state.d)

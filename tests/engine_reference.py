@@ -9,7 +9,8 @@ dS. The nodal helpers drive the engine's proposal and evaluation kernels
 one node at a time from a numpy Generator, and report each proposal as a
 `ProposalOutcome`. The merge helpers draw and score one merge candidate at
 a time from the dict state: the oracles of the numpy candidate pass
-(`sbpart.engine.merge_candidates`).
+(`sbpart.engine.merge_candidates`). `copy_state`, `to_dense` and
+`copy_partition` copy and densify the engine's types for the tests.
 """
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sbpart.engine import _evaluate, _propose
-from sbpart.graph import NodeTables, apply_move
+from sbpart.graph import BlockModelState, NodeTables, Partition, apply_move
 
 
 @dataclass
@@ -30,6 +31,27 @@ class ProposalOutcome:
     p_backward: float
     p_accept: float
     accepted: bool
+
+
+def copy_state(state):
+    """An independent copy of a dict state."""
+    return BlockModelState([dict(r) for r in state.rows],
+                           [dict(c) for c in state.cols],
+                           state.d_out.copy(), state.d_in.copy())
+
+
+def to_dense(state):
+    """M of a dict state as a dense B x B int64 matrix."""
+    B = len(state.rows)
+    m = np.zeros((B, B), dtype=np.int64)
+    for r, row in enumerate(state.rows):
+        for s, w in row.items():
+            m[r, s] = w
+    return m
+
+
+def copy_partition(partition):
+    return Partition(partition.assignment.copy(), partition.num_blocks)
 
 
 def entropy_sum(state):
@@ -45,7 +67,7 @@ def entropy_sum(state):
 def description_length(state, num_nodes, total_edge_weight):
     """H = E h(B^2 / E) + N log B - S of the dict state, where
     h(x) = (1 + x) log(1 + x) - x log x."""
-    B, E = state.num_blocks, total_edge_weight
+    B, E = len(state.rows), total_edge_weight
     if E == 0:
         return num_nodes * math.log(B) if B > 1 else 0.0
     x = B * B / E
@@ -95,7 +117,7 @@ def propose_block(i, partition, state, graph, rng):
     """Draw a block proposal for node i per the nodal-update proposal rule."""
     u = rng.random(3)
     return _propose(partition.assignment.tolist(), state, {},
-                    state.num_blocks, draw_neighbor(graph, i, u[0]),
+                    len(state.rows), draw_neighbor(graph, i, u[0]),
                     u[1], u[2])
 
 
@@ -125,7 +147,7 @@ def nodal_update(i, partition, state, graph, config, rng):
         return ProposalOutcome(i, r, r, 0.0, 0.0, 0.0, 0.0, False)
     u = rng.random(4)
     evaluated = _evaluate(NodeTables(graph), partition.assignment.tolist(),
-                          state, {}, state.num_blocks, config.beta, i,
+                          state, {}, len(state.rows), config.beta, i,
                           draw_neighbor(graph, i, u[0]), u[1], u[2], u[3])
     outcome, commit = _outcome(i, evaluated), evaluated[2]
     if commit is not None:
@@ -138,7 +160,7 @@ def snapshot_outcomes(graph, assignment, state, config, uniforms):
     """Evaluate every node against the frozen (assignment, state) snapshot,
     one `_evaluate` per node: the per-node oracle of the numpy snapshot
     sweep (`sbpart.engine.snapshot_proposals`)."""
-    B = state.num_blocks
+    B = len(state.rows)
     tables, a, cache = NodeTables(graph), assignment.tolist(), {}
     out = []
     for i in range(graph.num_nodes):

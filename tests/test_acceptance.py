@@ -18,15 +18,16 @@ from sbpart.generator import (GeneratorConfig, emit_streaming_stages,
                               sample_bounded_powerlaw,
                               sample_degree_corrections,
                               sample_truth_partition)
-from sbpart.graph import (NodeTables, Partition, apply_move, build_graph,
-                          node_block_edge_counts, recompute_block_matrix)
+from sbpart.graph import (NodeTables, Partition, apply_move, block_cells,
+                          build_graph, node_block_edge_counts,
+                          recompute_block_matrix)
 from sbpart.metrics import build_contingency, correctness_report, \
     information_metrics, overall_accuracy, pairwise_metrics
 from sbpart.streaming import StreamingSession, ingest_stage, partition_stage
 
 from conftest import random_graph, random_partition
-from engine_reference import (delta_log_posterior, entropy_sum,
-                              snapshot_outcomes)
+from engine_reference import (copy_state, delta_log_posterior, entropy_sum,
+                              snapshot_outcomes, to_dense)
 
 
 def _report(num, ok, detail):
@@ -147,7 +148,7 @@ def test_criterion_3_incremental_matrix():
             p.assignment[i] = s
             moves += 1
         fresh = recompute_block_matrix(g, p)
-        if not (np.array_equal(state.to_dense(), fresh.to_dense())
+        if not (np.array_equal(to_dense(state), to_dense(fresh))
                 and np.array_equal(state.d_out, fresh.d_out)
                 and np.array_equal(state.d_in, fresh.d_in)):
             bad += 1
@@ -169,7 +170,7 @@ def test_criterion_4_restricted_delta():
         if s == r:
             continue
         counts = node_block_edge_counts(NodeTables(g), p.assignment, i)
-        after = before.copy()
+        after = copy_state(before)
         apply_move(after, i, r, s, counts)
         restricted = delta_log_posterior(before, after, r, s)
         full = entropy_sum(before) - entropy_sum(after)
@@ -193,7 +194,8 @@ def test_criterion_5_batch_equivalence():
         U = _sweep_uniforms(config.rng_seed, case, g.num_nodes)
         seq = snapshot_outcomes(g, p.assignment.copy(), state, config, U)
         nodes, proposed, accepted, dS, _ = snapshot_proposals(
-            g, p.assignment.copy(), p.num_blocks, config.beta, U)
+            g, p.assignment.copy(), p.num_blocks,
+            block_cells(g, p.assignment, p.num_blocks), config.beta, U)
         res = {i: (s, a, x) for i, s, a, x in zip(nodes.tolist(),
                                                    proposed.tolist(),
                                                    accepted.tolist(), dS)}
@@ -328,7 +330,7 @@ def test_criterion_10_generator_fidelity():
         truth = sample_truth_partition(cfg)
         theta = sample_degree_corrections(cfg, truth)
         gen = generate_edges(cfg, truth, theta)
-        acc += recompute_block_matrix(gen.graph, truth).to_dense()
+        acc += to_dense(recompute_block_matrix(gen.graph, truth))
     mean = acc / 100
     worst_entry = float(np.max(np.abs(mean - omega) / omega))
 

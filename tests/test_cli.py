@@ -273,6 +273,12 @@ def test_exit_code_config_error(tmp_path, capsys):
     runs = [["partition", edge_file, "-o", str(tmp_path / "x"),
              "--beta", "-1"],
             ["partition", edge_file, "-o", str(tmp_path / "x"),
+             "--beta", "nan"],
+            ["partition", edge_file, "-o", str(tmp_path / "x"),
+             "--threshold", "nan"],
+            ["generate", "-N", "10", "-B", "2", "--edges", "50",
+             "--alpha", "nan", "-o", str(tmp_path / "g")],
+            ["partition", edge_file, "-o", str(tmp_path / "x"),
              "--workers", "0"],
             ["partition", edge_file, "-o", str(tmp_path / "x"),
              "--proposals", "0"],
@@ -299,6 +305,8 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "beta must be positive" in err
+    assert "convergence_threshold must be positive" in err
+    assert "block_size_concentration must be positive" in err
     assert "merge_proposals_per_block must be positive" in err
     assert "rng_seed must be non-negative" in err
     assert "argument --stages: not a positive integer: '0'" in err

@@ -12,14 +12,16 @@ from sbpart.engine import (MCMCConfig, description_length,
                            split_partition, warm_start, _sweep_uniforms)
 from sbpart.generator import GeneratorConfig, generate
 from sbpart.graph import (BlockModelState, NodeTables, Partition, apply_move,
-                          build_graph, node_block_edge_counts,
+                          block_cells, build_graph, node_block_edge_counts,
                           recompute_block_matrix)
 
 from batch_reference import batch_outcomes
 from conftest import random_graph, random_partition
 import engine_reference as ref
-from engine_reference import (delta_log_posterior, entropy_sum,
-                              hastings_correction, nodal_update, propose_block)
+from engine_reference import (copy_partition, copy_state,
+                              delta_log_posterior, entropy_sum,
+                              hastings_correction, nodal_update, propose_block,
+                              to_dense)
 
 
 def directed_clique(nodes, offset=0):
@@ -78,7 +80,7 @@ def test_delta_log_posterior_three_cycle():
     p = Partition([0, 0, 1])
     before = recompute_block_matrix(g, p)
     counts = node_block_edge_counts(NodeTables(g), p.assignment, 2)
-    after = before.copy()
+    after = copy_state(before)
     apply_move(after, 2, 1, 0, counts)
     restricted = delta_log_posterior(before, after, 1, 0)
     full = entropy_sum(before) - entropy_sum(after)
@@ -93,7 +95,7 @@ def test_delta_log_posterior_noop_move_is_zero():
     before = recompute_block_matrix(g, p)
     # node 3 is isolated
     counts = node_block_edge_counts(NodeTables(g), p.assignment, 3)
-    after = before.copy()
+    after = copy_state(before)
     apply_move(after, 3, 2, 1, counts)
     assert delta_log_posterior(before, after, 2, 1) == pytest.approx(0.0,
                                                                      abs=1e-12)
@@ -113,7 +115,7 @@ def test_restricted_delta_matches_full_on_random_moves():
         if s == r:
             continue
         counts = node_block_edge_counts(NodeTables(g), p.assignment, i)
-        after = before.copy()
+        after = copy_state(before)
         apply_move(after, i, r, s, counts)
         restricted = delta_log_posterior(before, after, r, s)
         full = entropy_sum(before) - entropy_sum(after)
@@ -197,10 +199,10 @@ def test_hastings_reverse_consistency():
         B = p.num_blocks
         before = recompute_block_matrix(g, p)
         counts = node_block_edge_counts(tables, p.assignment, i)
-        after = before.copy()
+        after = copy_state(before)
         apply_move(after, i, r, s, counts)
         pf, pb = hastings_correction(i, counts, before, after, r, s, B)
-        p2 = p.copy()
+        p2 = copy_partition(p)
         p2.assignment[i] = s
         counts_rev = node_block_edge_counts(tables, p2.assignment, i)
         pf_rev, pb_rev = hastings_correction(i, counts_rev, after, before,
@@ -239,7 +241,7 @@ def test_nodal_update_accept_identity_and_state():
             if o.p_accept == 1.0:
                 saw_clamp = True
         fresh = recompute_block_matrix(g, p)
-        assert np.array_equal(state.to_dense(), fresh.to_dense())
+        assert np.array_equal(to_dense(state), to_dense(fresh))
         assert np.array_equal(state.d_out, fresh.d_out)
         assert np.array_equal(state.d_in, fresh.d_in)
     assert saw_clamp  # the min(..., 1) clamp is exercised
@@ -269,7 +271,8 @@ def test_sweep_single_node_noop():
     p = Partition([0], 1)
     state = recompute_block_matrix(g, p)
     config = MCMCConfig()
-    p, state, h, accepted = mcmc_sweep(g, p, state, config)
+    p, state, h, accepted = mcmc_sweep(g, p, state, config,
+                                       tables=NodeTables(g))
     assert accepted == 0
     assert list(p.assignment) == [0]
 
@@ -281,13 +284,21 @@ def test_sweep_state_consistency(mode):
     for _ in range(5):
         g = random_graph(rng, max_nodes=40, min_nodes=8)
         p = random_partition(rng, g.num_nodes)
-        state = recompute_block_matrix(g, p)
-        p, state, h, _ = mcmc_sweep(g, p, state, config, sweep_index=0)
+        if mode == "sequential":
+            state = recompute_block_matrix(g, p)
+        else:
+            state = block_cells(g, p.assignment, p.num_blocks)
+        p, state, h, _ = mcmc_sweep(g, p, state, config, sweep_index=0,
+                                    tables=NodeTables(g))
         fresh = recompute_block_matrix(g, p)
         if mode == "sequential":
-            assert np.array_equal(state.to_dense(), fresh.to_dense())
+            assert np.array_equal(to_dense(state), to_dense(fresh))
         else:
-            assert state is None   # the batch sweep keeps no dict state
+            # the batch sweep returns M's cells of the new labelling, and
+            # H read from them
+            want = block_cells(g, p.assignment, p.num_blocks)
+            assert all(np.array_equal(x, y) for x, y in zip(state, want))
+            assert h == description_length(g, p)
         assert h == pytest.approx(ref.description_length(
             fresh, g.num_nodes, g.total_edge_weight), rel=1e-12)
 
@@ -303,9 +314,10 @@ def test_snapshot_sweep_worker_processes_agree():
     for workers in (1, 2):
         config = MCMCConfig(execution_mode="batch", rng_seed=13,
                             workers=workers)
-        p = start.copy()
-        p, _, h, accepted = mcmc_sweep(g, p, recompute_block_matrix(g, p),
-                                       config, sweep_index=0)
+        p = copy_partition(start)
+        p, _, h, accepted = mcmc_sweep(
+            g, p, block_cells(g, p.assignment, p.num_blocks), config,
+            sweep_index=0)
         runs.append((p.assignment, h, accepted))
     (a1, h1, n1), (a2, h2, n2) = runs
     assert n1 > 0
@@ -319,7 +331,8 @@ def test_snapshot_equals_batch_outcomes():
     p = random_partition(rng, g.num_nodes)
     U = _sweep_uniforms(config.rng_seed, 0, g.num_nodes)
     nodes, proposed, accepted, dS, p_accept = snapshot_proposals(
-        g, p.assignment.copy(), p.num_blocks, config.beta, U)
+        g, p.assignment.copy(), p.num_blocks,
+        block_cells(g, p.assignment, p.num_blocks), config.beta, U)
     res = batch_outcomes(g, p.assignment.copy(),
                          recompute_block_matrix(g, p), config, U)
     moving = dict(zip(nodes.tolist(), range(len(nodes))))
@@ -344,9 +357,9 @@ def test_merge_to_single_block():
     g = three_cycle()
     p = Partition([0, 0, 1])
     config = MCMCConfig()
-    p2 = merge_blocks(g, p, 1, config)
+    p2 = merge_blocks(g, p, 1, config, np.random.default_rng(0))
     assert p2.num_blocks == 1
-    assert recompute_block_matrix(g, p2).to_dense().tolist() == [[3]]
+    assert to_dense(recompute_block_matrix(g, p2)).tolist() == [[3]]
 
 
 def test_merge_reunites_split_cliques():
@@ -354,7 +367,8 @@ def test_merge_reunites_split_cliques():
     g = build_graph(edges)
     # each clique split across two blocks; merging to 2 must reunite them
     p = Partition([0, 0, 1, 1, 1, 2, 2, 3, 3, 3])
-    p2 = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1))
+    p2 = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1),
+                      np.random.default_rng(1))
     a = p2.assignment
     assert len(set(a[:5].tolist())) == 1
     assert len(set(a[5:].tolist())) == 1
@@ -384,9 +398,9 @@ def test_merge_rejects_bad_target():
     g = three_cycle()
     p = Partition([0, 1, 2])
     with pytest.raises(ValueError):
-        merge_blocks(g, p, 0, MCMCConfig())
+        merge_blocks(g, p, 0, MCMCConfig(), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        merge_blocks(g, p, 5, MCMCConfig())
+        merge_blocks(g, p, 5, MCMCConfig(), np.random.default_rng(0))
 
 
 def test_merge_refill_uses_current_groups(monkeypatch):
@@ -405,7 +419,8 @@ def test_merge_refill_uses_current_groups(monkeypatch):
         rounds.append(args[2])
         return r[keep], s[keep], dS[keep]
     monkeypatch.setattr(engine, "merge_candidates", first_round_block_0)
-    p2 = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1))
+    p2 = merge_blocks(g, p, 2, MCMCConfig(rng_seed=1),
+                      np.random.default_rng(1))
     assert rounds[:2] == [4, 3]
     a = p2.assignment
     assert len(set(a[:5].tolist())) == 1
@@ -426,7 +441,9 @@ def test_merge_round_without_candidates(monkeypatch):
         rounds.append(len(result[0]))
         return result
     monkeypatch.setattr(engine, "merge_candidates", counted)
-    assert merge_blocks(g, Partition([0, 1]), 1, MCMCConfig()).num_blocks == 1
+    merged = merge_blocks(g, Partition([0, 1]), 1, MCMCConfig(),
+                          np.random.default_rng(0))
+    assert merged.num_blocks == 1
     assert len(rounds) > 100 and not any(rounds)
 
 
@@ -579,8 +596,8 @@ def test_warm_start_unchanged_graph():
     p = Partition([0, 0, 1])
     part = warm_start(p, g)
     assert np.array_equal(part.assignment, p.assignment)
-    assert np.array_equal(recompute_block_matrix(g, part).to_dense(),
-                          recompute_block_matrix(g, p).to_dense())
+    assert np.array_equal(to_dense(recompute_block_matrix(g, part)),
+                          to_dense(recompute_block_matrix(g, p)))
 
 
 def test_warm_start_new_node_joins_neighbor_block():
@@ -624,8 +641,11 @@ def test_split_partition_refines():
 # config validation
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MCMCConfig(beta=0)
+    for value in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            MCMCConfig(beta=value)
+        with pytest.raises(ValueError):
+            MCMCConfig(convergence_threshold=value)
     with pytest.raises(ValueError):
         MCMCConfig(merge_reduction_rate=1.0)
     with pytest.raises(ValueError):

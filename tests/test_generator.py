@@ -9,6 +9,8 @@ from sbpart.generator import (GeneratorConfig, embed_in_real_graph,
                               sample_truth_partition)
 from sbpart.graph import build_graph
 
+from engine_reference import to_dense
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -26,6 +28,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(num_nodes=10, num_blocks=2, target_total_edges=10,
                         rng_seed=-1)
+    for alpha in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            GeneratorConfig(num_nodes=10, num_blocks=2, target_total_edges=10,
+                            block_size_concentration=alpha)
 
 
 def test_truth_sizes_concentrate():
@@ -147,7 +153,7 @@ def test_block_matrix_mean_tracks_interaction():
         truth = sample_truth_partition(cfg)
         theta = sample_degree_corrections(cfg, truth)
         gen = generate_edges(cfg, truth, theta)
-        acc += recompute_block_matrix(gen.graph, truth).to_dense()
+        acc += to_dense(recompute_block_matrix(gen.graph, truth))
     mean = acc / seeds
     assert np.all(np.abs(mean - omega) <= 0.08 * omega)
 

@@ -1,11 +1,14 @@
 """Property tests of the numpy snapshot sweep against the per-node oracle
-(one `_evaluate` per node, the kernel the sequential sweep runs)."""
+(one `_evaluate` per node, the kernel the sequential sweep runs), and of
+the M cells that the batch sweep carries from one sweep to the next."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbpart.engine import MCMCConfig, snapshot_proposals, _sweep_uniforms
-from sbpart.graph import Partition, build_graph, recompute_block_matrix
+from sbpart.engine import (MCMCConfig, description_length, mcmc_sweep,
+                           snapshot_proposals, _sweep_uniforms)
+from sbpart.graph import (Partition, block_cells, build_graph,
+                          recompute_block_matrix)
 
 from engine_reference import snapshot_outcomes
 
@@ -36,12 +39,30 @@ def test_snapshot_proposals_match_per_node_oracle(case):
                             recompute_block_matrix(g, p), config, U)
     moving = [o for o in ref if o.proposed_block != o.current_block]
     nodes, proposed, accepted, dS, p_accept = snapshot_proposals(
-        g, p.assignment.copy(), p.num_blocks, beta, U)
+        g, p.assignment.copy(), p.num_blocks,
+        block_cells(g, p.assignment, p.num_blocks), beta, U)
     assert nodes.tolist() == [o.node for o in moving]
     assert proposed.tolist() == [o.proposed_block for o in moving]
     assert accepted.tolist() == [o.accepted for o in moving]
     assert dS.tolist() == [o.delta_S for o in moving]
     assert p_accept == pytest.approx([o.p_accept for o in moving], rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cases())
+def test_batch_sweeps_carry_cells_and_H(case):
+    """Three batch sweeps in a row, each fed the cells the one before it
+    returned: each returns `block_cells` of its new labelling and H equal
+    bit for bit to `description_length` of it."""
+    g, p, seed, beta = case
+    config = MCMCConfig(beta=beta, rng_seed=seed, execution_mode="batch")
+    B = p.num_blocks
+    state = block_cells(g, p.assignment, B)
+    for sweep in range(3):
+        p, state, h, _ = mcmc_sweep(g, p, state, config, sweep_index=sweep)
+        want = block_cells(g, p.assignment, B)
+        assert all(np.array_equal(x, y) for x, y in zip(state, want))
+        assert h == description_length(g, p)
 
 
 def test_snapshot_proposals_leave_the_labelling_alone():
@@ -50,6 +71,6 @@ def test_snapshot_proposals_leave_the_labelling_alone():
     b = np.array([0, 1, 1, 2, 0, 3])
     before = b.copy()
     U = _sweep_uniforms(5, 0, g.num_nodes)
-    nodes, *_ = snapshot_proposals(g, b, 4, 3.0, U)
+    nodes, *_ = snapshot_proposals(g, b, 4, block_cells(g, b, 4), 3.0, U)
     assert np.array_equal(b, before)
     assert not set(nodes.tolist()) & {4, 5}   # no edges, no proposal

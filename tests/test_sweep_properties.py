@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from sbpart import engine
 from sbpart.engine import (MCMCConfig, _sweep_permutation, _sweep_uniforms,
                            mcmc_sweep)
-from sbpart.graph import Partition, build_graph, recompute_block_matrix
+from sbpart.graph import (NodeTables, Partition, build_graph,
+                          recompute_block_matrix)
 
 from engine_reference import (_draw_from_row, draw_neighbor, entropy_sum,
                               hastings_correction)
@@ -85,7 +86,8 @@ def test_sequential_sweep_matches_recount_walk(case):
         return out
     with mock.patch.object(engine, "_evaluate", recording):
         part, state, _, _ = mcmc_sweep(g, part, state, config,
-                                       sweep_index=sweep)
+                                       sweep_index=sweep,
+                                       tables=NodeTables(g))
 
     U = _sweep_uniforms(seed, sweep, g.num_nodes)
     order = [i for i in _sweep_permutation(seed, sweep, g.num_nodes).tolist()
