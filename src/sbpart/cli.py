@@ -138,7 +138,8 @@ def cmd_partition(args):
 
 def cmd_evaluate(args):
     truth = read_assignment_tsv(args.truth)
-    output = read_assignment_tsv(args.partition, num_nodes=len(truth))
+    output = read_assignment_tsv(args.partition, num_nodes=len(truth),
+                                 exact=True)
     mask = read_mask_tsv(args.mask, len(truth)) if args.mask else None
     report = correctness_report(truth, output, mask).to_dict()
     if args.output:

@@ -18,7 +18,10 @@ closed form, summed in one term order:
 A cell adds x log x before the move minus after it, a degree after minus
 before, so the per-node kernel (`_evaluate`) and the numpy snapshot pass
 (`_score_moves`) give the same dS bit for bit. The batch sweep counts each
-labelling once: its `block_cells` give both H and the next pass's M.
+labelling once: its `block_cells` give both H and the next pass's M. The
+sequential sweep counts none: it reads the graph's cached `NodeTables`,
+edits M in place, and sums its H from the accepted moves' dS, so a probe
+(`run_mcmc`) counts M at its start and once more at its end.
 All logarithms are natural.
 """
 from __future__ import annotations
@@ -35,7 +38,6 @@ import numpy as np
 
 from .graph import (
     BlockModelState,
-    NodeTables,
     Partition,
     _bump,
     apply_move,
@@ -43,7 +45,6 @@ from .graph import (
     block_degrees,
     core_change,
     node_block_edge_counts,
-    recompute_block_matrix,
     runs,
 )
 
@@ -394,18 +395,22 @@ def _score_moves(graph, b, B, nodes, r, s, size, get_m, d_out, d_in, d):
             np.bincount(gp, weights=pb, minlength=n))
 
 
-def mcmc_sweep(graph, partition, state, config, sweep_index=0, tables=None):
-    """One full pass of nodal updates, in one of two sweeps.
+def mcmc_sweep(graph, partition, state, H, config, sweep_index=0):
+    """One full pass of nodal updates, in one of two sweeps, from a
+    labelling whose description length is H.
 
     sequential: nodes visited in random order against the live dict state
     of M; each accepted move updates it in place. It reads the graph from
-    `tables` (the probe's NodeTables), with every node's neighbour drawn
-    up front (the draw reads no state).
+    `graph.tables`, with every node's neighbour drawn up front (the draw
+    reads no state). B, N and E are fixed within the sweep, so an accepted
+    move's dS is its change in H: H_after is H plus their sum, in visit
+    order, and may differ from a recount in the last bits.
     batch: every node is evaluated against the frozen sweep-start labelling
     in one numpy pass (`snapshot_proposals`), whose state is M's sorted
     cells (`block_cells`); the accepted moves are applied at a barrier,
     and one count of the new labelling gives both H and the cells it
-    returns for the next sweep.
+    returns for the next sweep. A sweep that accepts no move returns its
+    input cells and H.
     Both replay the same counter-based draws for a given sweep_index.
     Returns (partition, state, H_after, num_accepted).
     """
@@ -418,13 +423,16 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0, tables=None):
         order = _sweep_permutation(config.rng_seed, sweep_index, N)
         order = order[graph.degree[order] > 0]
         drawn = graph.draw_neighbors(order, U[order, 0])
+        tables = graph.tables
         a = b.tolist()
         cache = {}
         accepted = 0
+        net = 0.0
         for i, j, (_, u_coin, u_prop, u_accept) in zip(
                 order.tolist(), drawn.tolist(), U[order].tolist()):
-            r, s, counts, _ = _evaluate(tables, a, state, cache, B, beta, i,
-                                        j, u_coin, u_prop, u_accept)
+            r, s, counts, scores = _evaluate(
+                tables, a, state, cache, B, beta, i, j, u_coin, u_prop,
+                u_accept)
             if counts is not None:
                 apply_move(state, i, r, s, counts)
                 # every row of M + M^T with a changed cell
@@ -433,40 +441,39 @@ def mcmc_sweep(graph, partition, state, config, sweep_index=0, tables=None):
                 a[i] = s
                 b[i] = s
                 accepted += 1
-        return (partition, state, description_length(graph, partition),
-                accepted)
+                net += scores[0]
+        return partition, state, H + net, accepted
     nodes, proposed, accepted, _, _ = snapshot_proposals(
         graph, b, B, state, config.beta, U)
+    moved = int(np.count_nonzero(accepted))
+    if not moved:
+        return partition, state, H, 0
     b[nodes[accepted]] = proposed[accepted]
     cells = block_cells(graph, b, B)
-    return (partition, cells, _cells_length(graph, B, cells),
-            int(np.count_nonzero(accepted)))
+    return partition, cells, _cells_length(graph, B, cells), moved
 
 
 def run_mcmc(graph, partition, config, sweep_base=0, sweep_cap=None):
     """Sweep until the windowed relative improvement in H drops below the
-    convergence threshold, or the sweep budget is hit. The sequential sweep
-    edits a dict state of M and reads the graph's NodeTables, both built
-    here and dropped on return; the batch sweep carries M's sorted cells
-    from one sweep to the next, counted here for the start.
+    convergence threshold, or the sweep budget is hit. M is counted once
+    here, for the start: the sequential sweep edits it as a dict state,
+    built from those cells, and the batch sweep carries the cells from one
+    sweep to the next. The sequential H is summed from the accepted moves'
+    dS, so it is counted once more at the end; the batch H is read from
+    each sweep's cells.
     Returns (partition relabelled to its used blocks, H, sweeps)."""
     cap = config.max_sweeps if sweep_cap is None \
         else min(sweep_cap, config.max_sweeps)
-    tables = None
-    if config.execution_mode == "sequential":
-        state = recompute_block_matrix(graph, partition)
-        tables = NodeTables(graph)
-        H = description_length(graph, partition)
-    else:
-        B = partition.num_blocks
-        state = block_cells(graph, partition.assignment, B)
-        H = _cells_length(graph, B, state)
+    sequential = config.execution_mode == "sequential"
+    B = partition.num_blocks
+    cells = block_cells(graph, partition.assignment, B)
+    H = _cells_length(graph, B, cells)
+    state = BlockModelState.from_cells(B, *cells) if sequential else cells
     window = deque(maxlen=CONVERGENCE_WINDOW)
     sweeps = 0
     for t in range(cap):
         partition, state, H_new, _ = mcmc_sweep(
-            graph, partition, state, config, sweep_index=sweep_base + t,
-            tables=tables)
+            graph, partition, state, H, config, sweep_index=sweep_base + t)
         sweeps += 1
         window.append(abs(H - H_new) / max(abs(H_new), 1e-12))
         H = H_new
@@ -474,7 +481,7 @@ def run_mcmc(graph, partition, config, sweep_base=0, sweep_cap=None):
                 sum(window) / len(window) < config.convergence_threshold:
             break
     compacted = partition.compact()
-    if compacted.num_blocks != partition.num_blocks:
+    if sequential or compacted.num_blocks != partition.num_blocks:
         H = description_length(graph, compacted)
     return compacted, H, sweeps
 

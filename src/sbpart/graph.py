@@ -9,6 +9,10 @@ exact without recomputation. A move r -> s of one node changes, for each
 other block t, the cells (r, t), (s, t), (t, r) and (t, s) by the node's
 edge weights to and from t, and the 2 x 2 core of r and s (`core_change`):
 the closed form that both nodal sweeps score and `apply_move` commits.
+
+A Graph never changes once built, so the Python lists that the exact sweep
+reads one node at a time (`NodeTables`) are built once per graph, on first
+use of `Graph.tables`, and shared by every probe on it.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ class Graph:
     """
 
     __slots__ = ("num_nodes", "ptr", "nbr", "w_out", "w_in", "cumw",
-                 "degree", "total_edge_weight")
+                 "degree", "total_edge_weight", "_tables")
 
     def __init__(self, num_nodes, ptr, nbr, w_out, w_in):
         self.num_nodes = num_nodes
@@ -40,6 +44,14 @@ class Graph:
         self.cumw = np.concatenate(([0], np.cumsum(w_out + w_in)))
         self.degree = self.cumw[ptr[1:]] - self.cumw[ptr[:-1]]
         self.total_edge_weight = int(w_out.sum())
+        self._tables = None
+
+    @property
+    def tables(self):
+        """The graph's `NodeTables`, built on first use."""
+        if self._tables is None:
+            self._tables = NodeTables(self)
+        return self._tables
 
     def neighbors(self, i):
         """(j, weight of i -> j, weight of j -> i) per neighbour j of i, in
@@ -205,7 +217,7 @@ class NodeBlockEdgeCounts:
 
 class NodeTables:
     """A graph's neighbour table as Python lists, for code that reads it
-    one node at a time (the exact sequential sweep builds one per probe).
+    one node at a time (the exact sequential sweep reads `Graph.tables`).
 
     out_j[i] and out_w[i] list node i's out-neighbours by id and the
     weights of i -> j; in_j[i] and in_w[i] its in-neighbours by id and the

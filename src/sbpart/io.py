@@ -63,12 +63,19 @@ def write_edge_tsv(path, edges):
             fh.write(f"{s + 1}\t{t + 1}\t{w}\n")
 
 
-def read_assignment_tsv(path, num_nodes=None):
-    """node<TAB>block file, a line per node, into a 0-based assignment list."""
+def read_assignment_tsv(path, num_nodes=None, exact=False):
+    """node<TAB>block file, a line per node, into a 0-based assignment list.
+
+    With num_nodes the list covers nodes 1..num_nodes, and each must be
+    listed; a node above them is dropped, or with `exact` a DataError.
+    """
     pairs = {}
     for lineno, (node, block) in _int_rows(path, (2,)):
         if node < 1 or block < 1:
             raise DataError(f"{path}:{lineno}: ids are 1-based")
+        if exact and node > num_nodes:
+            raise DataError(f"{path}:{lineno}: node id {node} out of range "
+                            f"for {num_nodes} nodes")
         if node - 1 in pairs:
             raise DataError(f"{path}:{lineno}: node {node} listed twice")
         pairs[node - 1] = block - 1

@@ -370,6 +370,33 @@ def test_evaluate_duplicate_partition_node_is_data_error(tmp_path, capsys):
     assert f"{part}:{lines}: node 3 listed twice" in capsys.readouterr().err
 
 
+def test_evaluate_partition_beyond_truth_is_data_error(tmp_path, capsys):
+    """A partition node that the truth does not cover exits 2 and names the
+    partition file and line, rather than being dropped from the score."""
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("1\t1\n2\t1\n3\t2\n")
+    part = tmp_path / "part.tsv"
+    part.write_text("1\t1\n2\t1\n3\t2\n4\t2\n")
+    rc = main(["evaluate", "--truth", str(truth), "--partition", str(part)])
+    assert rc == 2
+    assert (f"{part}:4: node id 4 out of range for 3 nodes"
+            in capsys.readouterr().err)
+
+
+def test_partition_truth_may_list_nodes_without_edges(tmp_path):
+    """A truth file may list trailing nodes that no edge reaches; they are
+    not part of the graph and are not scored."""
+    edge_file = tmp_path / "g.tsv"
+    edge_file.write_text("1\t2\n2\t1\n3\t4\n4\t3\n")
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("1\t1\n2\t1\n3\t2\n4\t2\n5\t3\n6\t3\n")
+    out = str(tmp_path / "x")
+    rc = main(["partition", str(edge_file), "-o", out, "--truth", str(truth)])
+    assert rc == 0
+    report = json.load(open(f"{out}_report.json"))
+    assert report["correctness"]["num_nodes_evaluated"] == 4
+
+
 def test_evaluate_duplicate_mask_node_is_data_error(tmp_path, capsys):
     """A node listed twice in a mask file exits 2 and names the file and
     the second line."""

@@ -1,5 +1,6 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,8 +272,8 @@ def test_sweep_single_node_noop():
     p = Partition([0], 1)
     state = recompute_block_matrix(g, p)
     config = MCMCConfig()
-    p, state, h, accepted = mcmc_sweep(g, p, state, config,
-                                       tables=NodeTables(g))
+    p, state, h, accepted = mcmc_sweep(g, p, state,
+                                       description_length(g, p), config)
     assert accepted == 0
     assert list(p.assignment) == [0]
 
@@ -288,8 +289,8 @@ def test_sweep_state_consistency(mode):
             state = recompute_block_matrix(g, p)
         else:
             state = block_cells(g, p.assignment, p.num_blocks)
-        p, state, h, _ = mcmc_sweep(g, p, state, config, sweep_index=0,
-                                    tables=NodeTables(g))
+        p, state, h, _ = mcmc_sweep(g, p, state, description_length(g, p),
+                                    config, sweep_index=0)
         fresh = recompute_block_matrix(g, p)
         if mode == "sequential":
             assert np.array_equal(to_dense(state), to_dense(fresh))
@@ -316,8 +317,8 @@ def test_snapshot_sweep_worker_processes_agree():
                             workers=workers)
         p = copy_partition(start)
         p, _, h, accepted = mcmc_sweep(
-            g, p, block_cells(g, p.assignment, p.num_blocks), config,
-            sweep_index=0)
+            g, p, block_cells(g, p.assignment, p.num_blocks),
+            description_length(g, p), config, sweep_index=0)
         runs.append((p.assignment, h, accepted))
     (a1, h1, n1), (a2, h2, n2) = runs
     assert n1 > 0
@@ -586,6 +587,19 @@ def test_search_trace_changes_nothing(mode):
         assert p1.assignment.tobytes() == p2.assignment.tobytes()
         assert trace and all(e["sweeps"] >= 1 for e in trace)
         assert sum(e["phase"] == "polish" for e in trace) == 1
+
+
+@pytest.mark.parametrize("mode, builds", [("sequential", 1), ("batch", 0)])
+def test_search_builds_node_tables_once_per_graph(mode, builds):
+    """Every sequential probe of a search reads the one NodeTables that the
+    graph keeps; the batch sweep never reads them."""
+    g = four_cliques()
+    config = MCMCConfig(rng_seed=3, execution_mode=mode)
+    trace = []
+    with mock.patch("sbpart.graph.NodeTables", wraps=NodeTables) as built:
+        golden_section_search(g, config, trace=trace)
+    assert len(trace) > 1
+    assert built.call_count == builds
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,10 @@ def test_batch_sweeps_carry_cells_and_H(case):
     config = MCMCConfig(beta=beta, rng_seed=seed, execution_mode="batch")
     B = p.num_blocks
     state = block_cells(g, p.assignment, B)
+    h = description_length(g, p)
     for sweep in range(3):
-        p, state, h, _ = mcmc_sweep(g, p, state, config, sweep_index=sweep)
+        p, state, h, _ = mcmc_sweep(g, p, state, h, config,
+                                    sweep_index=sweep)
         want = block_cells(g, p.assignment, B)
         assert all(np.array_equal(x, y) for x, y in zip(state, want))
         assert h == description_length(g, p)

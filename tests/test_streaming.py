@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from sbpart.engine import MCMCConfig, golden_section_search
 from sbpart.generator import GeneratorConfig, emit_streaming_stages, generate
-from sbpart.graph import build_graph
+from sbpart.graph import NodeTables, build_graph
 from sbpart.streaming import (StreamingSession, ingest_stage, partition_stage,
                               run_stream)
 
@@ -157,3 +159,15 @@ def test_short_generated_mask_rejected():
     with pytest.raises(ValueError, match="generated mask covers 3 nodes"):
         ingest_stage(session, [(0, 1, 1), (2, 3, 1)])
     assert session.graph is None and session.stage_index == 0
+
+
+def test_stream_builds_node_tables_once_per_stage():
+    """A sequential stream builds one NodeTables per stage graph, however
+    many probes each stage's search runs."""
+    gen = generated_case(seed=3)
+    sched = emit_streaming_stages(gen, "snowball", 10, rng_seed=3)
+    assert all(len(batch) for batch in sched.stages)
+    with mock.patch("sbpart.graph.NodeTables", wraps=NodeTables) as built:
+        session = run_stream(sched.stages, config=small_config())
+    assert sum(r["search"]["probes"] for r in session.reports) > 10
+    assert built.call_count == 10

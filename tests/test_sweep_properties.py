@@ -7,7 +7,8 @@ but recounts M before every node, draws the proposal from the recount
 (`engine_reference._draw_from_row`), and scores the move from full
 entropies of the recounts before and after it. The two must agree node by
 node. Graphs of up to 30 nodes give a stale cached row enough chances to
-be read.
+be read. The sweep's H is the input H plus the accepted moves' dS; it must
+stay within rounding of a recount.
 """
 import math
 from types import SimpleNamespace
@@ -18,9 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from sbpart import engine
 from sbpart.engine import (MCMCConfig, _sweep_permutation, _sweep_uniforms,
-                           mcmc_sweep)
-from sbpart.graph import (NodeTables, Partition, build_graph,
-                          recompute_block_matrix)
+                           description_length, mcmc_sweep, run_mcmc)
+from sbpart.graph import Partition, build_graph, recompute_block_matrix
 
 from engine_reference import (_draw_from_row, draw_neighbor, entropy_sum,
                               hastings_correction)
@@ -76,6 +76,7 @@ def test_sequential_sweep_matches_recount_walk(case):
     a = np.array(labels, dtype=np.int64)
     part = Partition(a.copy(), B)
     state = recompute_block_matrix(g, part)
+    H = description_length(g, part)
 
     seen = []
     original = engine._evaluate
@@ -85,9 +86,8 @@ def test_sequential_sweep_matches_recount_walk(case):
         seen.append((args[6], out))
         return out
     with mock.patch.object(engine, "_evaluate", recording):
-        part, state, _, _ = mcmc_sweep(g, part, state, config,
-                                       sweep_index=sweep,
-                                       tables=NodeTables(g))
+        part, state, H_out, _ = mcmc_sweep(g, part, state, H, config,
+                                           sweep_index=sweep)
 
     U = _sweep_uniforms(seed, sweep, g.num_nodes)
     order = [i for i in _sweep_permutation(seed, sweep, g.num_nodes).tolist()
@@ -106,3 +106,25 @@ def test_sequential_sweep_matches_recount_walk(case):
     assert state.rows == fresh.rows and state.cols == fresh.cols
     for name in ("d_out", "d_in", "d"):
         assert np.array_equal(getattr(state, name), getattr(fresh, name))
+    net = 0.0
+    for _, (_, _, commit, (dS, *_)) in seen:
+        if commit is not None:
+            net += dS
+    assert H_out == H + net
+    recount = description_length(g, part)
+    assert abs(H_out - recount) <= 1e-9 * max(1.0, abs(recount))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases(), st.sampled_from(["sequential", "batch"]),
+       st.integers(0, 6))
+def test_run_mcmc_returns_the_recounted_H(case, mode, cap):
+    """Whatever the sweeps carried (the sequential sum of dS, or the batch
+    cells), run_mcmc returns description_length of its partition, bit for
+    bit."""
+    g, labels, B, seed, sweep = case
+    config = MCMCConfig(rng_seed=seed, execution_mode=mode)
+    part, H, sweeps = run_mcmc(g, Partition(labels, B), config,
+                               sweep_base=sweep, sweep_cap=cap)
+    assert sweeps <= cap
+    assert H == description_length(g, part)
