@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
@@ -139,11 +139,12 @@ def _propose(a, state, cache, B, j, u_coin, u_prop):
     """The block proposal for a node whose drawn neighbour is j: a uniform
     block, or the first block by id whose running weight in row a[j] of
     M + M^T exceeds floor(u_prop * d). `cache` holds each block's sorted
-    row ids and running weights; a move must drop the rows it changes."""
+    row ids and running weights over its nonzero entries; a move must drop
+    or shift (`_shift_row`) the rows it changes."""
     u = a[j]
     du = state.d[u]
     if u_coin <= B / (du + B):
-        return min(int(u_prop * B), B - 1)
+        return state.ids[min(int(u_prop * B), B - 1)]
     row = cache.get(u)
     if row is None:
         comb = dict(state.rows[u])
@@ -154,6 +155,24 @@ def _propose(a, state, cache, B, j, u_coin, u_prop):
         row = cache[u] = keys, cum
     keys, cum = row
     return keys[min(bisect_right(cum, u_prop * du), len(keys) - 1)]
+
+
+def _shift_row(row, r, s, k):
+    """Shift k of a cached `_propose` row's weight from block r to block s,
+    in place, keeping the row as a rebuild would read it: s enters the ids
+    if it was absent, and r leaves them if its weight drops to 0."""
+    keys, cum = row
+    ps = bisect_left(keys, s)
+    if ps == len(keys) or keys[ps] != s:
+        keys.insert(ps, s)
+        cum.insert(ps, cum[ps - 1] if ps else 0)
+    pr = bisect_left(keys, r)
+    if pr < ps:
+        cum[pr:ps] = [c - k for c in cum[pr:ps]]
+    else:
+        cum[ps:pr] = [c + k for c in cum[ps:pr]]
+    if cum[pr] == (cum[pr - 1] if pr else 0):
+        del keys[pr], cum[pr]
 
 
 def _evaluate(tables, a, state, cache, B, beta, i, j,
@@ -424,7 +443,7 @@ def mcmc_sweep(graph, partition, state, H, config, sweep_index=0):
         order = order[graph.degree[order] > 0]
         drawn = graph.draw_neighbors(order, U[order, 0])
         tables = graph.tables
-        a = b.tolist()
+        a = list(map(state.ids.__getitem__, b.tolist()))
         cache = {}
         accepted = 0
         net = 0.0
@@ -435,9 +454,14 @@ def mcmc_sweep(graph, partition, state, H, config, sweep_index=0):
                 u_accept)
             if counts is not None:
                 apply_move(state, i, r, s, counts)
-                # every row of M + M^T with a changed cell
-                for t in (r, s, *counts.combined):
-                    cache.pop(t, None)
+                # rows r and s of M + M^T change at every block the node
+                # reaches; any other row t only at r and s, by its k edges
+                cache.pop(r, None)
+                cache.pop(s, None)
+                for t, k in counts.combined.items():
+                    row = cache.get(t)
+                    if row is not None:
+                        _shift_row(row, r, s, k)
                 a[i] = s
                 b[i] = s
                 accepted += 1

@@ -172,24 +172,30 @@ class BlockModelState:
     xlogx[x] is x * log(x) for an int x >= 0 (0.0 at 0), filled on first
     use: the one x log x that the exact kernels read, holding only the
     cells and degrees they meet.
+    ids[t] is one int object per block id. Python shares no int objects
+    above 256, so the dict keys that `from_cells` writes and the labels
+    that the sweep reads are all taken from ids: a lookup then matches its
+    key by identity and never reads a second int object.
     """
 
-    __slots__ = ("rows", "cols", "d_out", "d_in", "d", "xlogx")
+    __slots__ = ("rows", "cols", "d_out", "d_in", "d", "xlogx", "ids")
 
-    def __init__(self, rows, cols, d_out, d_in):
+    def __init__(self, rows, cols, d_out, d_in, ids):
         self.rows = rows
         self.cols = cols
         self.d_out = d_out
         self.d_in = d_in
         self.d = [o + i for o, i in zip(d_out, d_in)]
         self.xlogx = _XLogX({0: 0.0})
+        self.ids = ids
 
     @classmethod
     def from_cells(cls, B, cell, m, first):
         """The state over B blocks of the cells that `block_cells` returns.
         Row r lists its blocks as the (source, target)-sorted edges first
         reach them, and column s by id."""
-        r, s = cell // B, cell % B
+        ids = np.arange(B).astype(object)
+        r, s = ids[cell // B], ids[cell % B]
         rows = [dict() for _ in range(B)]
         cols = [dict() for _ in range(B)]
         by_first = np.argsort(first)
@@ -199,7 +205,7 @@ class BlockModelState:
         for t1, t2, x in zip(r.tolist(), s.tolist(), m.tolist()):
             cols[t2][t1] = x
         d_out, d_in = block_degrees(cell, m, B)
-        return cls(rows, cols, d_out.tolist(), d_in.tolist())
+        return cls(rows, cols, d_out.tolist(), d_in.tolist(), ids.tolist())
 
 
 @dataclass

@@ -37,7 +37,7 @@ def copy_state(state):
     """An independent copy of a dict state."""
     return BlockModelState([dict(r) for r in state.rows],
                            [dict(c) for c in state.cols],
-                           state.d_out.copy(), state.d_in.copy())
+                           state.d_out.copy(), state.d_in.copy(), state.ids)
 
 
 def to_dense(state):

@@ -163,7 +163,7 @@ def test_hastings_symmetric_state():
     # with one edge into each block the forward and backward sums coincide
     state = BlockModelState([{0: 2, 1: 1}, {0: 1, 1: 2}],
                             [{0: 2, 1: 1}, {0: 1, 1: 2}],
-                            [3, 3], [3, 3])
+                            [3, 3], [3, 3], [0, 1])
     g = build_graph([(0, 1, 1), (2, 0, 1)], num_nodes=3)
     counts = node_block_edge_counts(NodeTables(g), [1, 0, 1], 0)
     assert counts.combined == {0: 1, 1: 1}
@@ -174,7 +174,7 @@ def test_hastings_symmetric_state():
 
 
 def test_hastings_empty_counts():
-    state = BlockModelState([{}, {}], [{}, {}], [0, 0], [0, 0])
+    state = BlockModelState([{}, {}], [{}, {}], [0, 0], [0, 0], [0, 1])
     g = build_graph([(0, 1, 1)], num_nodes=3)
     counts = node_block_edge_counts(NodeTables(g), [0, 0, 1], 2)
     pf, pb = hastings_correction(2, counts, state, state, 1, 0, 2)
@@ -302,6 +302,26 @@ def test_sweep_state_consistency(mode):
             assert h == description_length(g, p)
         assert h == pytest.approx(ref.description_length(
             fresh, g.num_nodes, g.total_edge_weight), rel=1e-12)
+
+
+def test_sequential_sweep_keys_are_the_state_block_ids():
+    """Python shares no int object above 256: every key of the dict state,
+    as counted and after a sweep's moves, is the state's one object for
+    its block id."""
+    rng = np.random.default_rng(5)
+    n, B = 600, 300
+    g = build_graph([(int(u), int(v), 1)
+                     for u, v in rng.integers(0, n, (3000, 2))], num_nodes=n)
+    p = Partition(rng.integers(0, B, n), B)
+    state = recompute_block_matrix(g, p)
+    ids = state.ids
+    assert all(k is ids[k] for m in state.rows + state.cols for k in m)
+    p, state, _, accepted = mcmc_sweep(g, p, state, description_length(g, p),
+                                       MCMCConfig(rng_seed=2))
+    assert accepted > 0
+    assert all(k is ids[k] for m in state.rows + state.cols for k in m)
+    fresh = recompute_block_matrix(g, p)
+    assert state.rows == fresh.rows and state.cols == fresh.cols
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")

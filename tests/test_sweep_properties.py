@@ -1,7 +1,8 @@
 """Property test of the exact sequential sweep against a recount walk.
 
 The sweep keeps M as a live dict state and caches the proposal rows of
-M + M^T between moves, dropping a cached row when a move changes it.
+M + M^T between moves: a move drops the rows of its blocks r and s and
+shifts every other cached row it changes in place (`_shift_row`).
 Beside it, a test-side walk replays the same permutation and uniforms,
 but recounts M before every node, draws the proposal from the recount
 (`engine_reference._draw_from_row`), and scores the move from full
@@ -11,6 +12,7 @@ be read. The sweep's H is the input H plus the accepted moves' dS; it must
 stay within rounding of a recount.
 """
 import math
+from itertools import accumulate
 from types import SimpleNamespace
 from unittest import mock
 
@@ -18,8 +20,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sbpart import engine
-from sbpart.engine import (MCMCConfig, _sweep_permutation, _sweep_uniforms,
-                           description_length, mcmc_sweep, run_mcmc)
+from sbpart.engine import (MCMCConfig, _shift_row, _sweep_permutation,
+                           _sweep_uniforms, description_length, mcmc_sweep,
+                           run_mcmc)
 from sbpart.graph import Partition, build_graph, recompute_block_matrix
 
 from engine_reference import (_draw_from_row, draw_neighbor, entropy_sum,
@@ -128,3 +131,26 @@ def test_run_mcmc_returns_the_recounted_H(case, mode, cap):
                                sweep_base=sweep, sweep_cap=cap)
     assert sweeps <= cap
     assert H == description_length(g, part)
+
+
+def _row(weights):
+    keys = sorted(t for t, w in weights.items() if w)
+    return keys, list(accumulate(weights[t] for t in keys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 20), st.integers(1, 5), min_size=1),
+       st.data())
+def test_shift_row_matches_a_rebuilt_row(weights, data):
+    """A cached proposal row shifted in place equals the row rebuilt from
+    the changed weights: s enters the ids if it was absent, and r leaves
+    them when its weight drops to 0."""
+    r = data.draw(st.sampled_from(sorted(weights)))
+    s = data.draw(st.integers(0, 20).filter(lambda x: x != r))
+    k = data.draw(st.integers(1, weights[r]))
+    row = _row(weights)
+    _shift_row(row, r, s, k)
+    after = dict(weights)
+    after[r] -= k
+    after[s] = after.get(s, 0) + k
+    assert row == _row(after)
