@@ -187,19 +187,17 @@ def cmd_stream(args):
     return 0
 
 
-def bench_rows(sizes, config, repeats=1, seed=0, num_blocks=8):
-    """(E, seconds, rate) per requested edge count, median over repeats:
-    one count for every size, or a list with one count per size.
+def bench_rows(sizes, config, repeats, seed=0):
+    """(E, seconds, rate) per requested edge count, the median over that
+    size's count of `repeats` (one per size).
 
     Graphs share a fixed block count and mean degree so that the measured
     trend reflects scaling in E rather than in the model size.
     """
-    if isinstance(repeats, int):
-        repeats = [repeats] * len(sizes)
     rows = []
     for target_e, count in zip(sizes, repeats):
         n = max(32, target_e // 20)
-        gcfg = GeneratorConfig(num_nodes=n, num_blocks=num_blocks,
+        gcfg = GeneratorConfig(num_nodes=n, num_blocks=8,
                                target_total_edges=target_e,
                                overlap_ratio=0.05, rng_seed=seed)
         gen = generate(gcfg)
@@ -223,7 +221,8 @@ def ratio_vs_log2(row1, row2):
 
 def cmd_bench(args):
     config = _engine_config(args)
-    rows = bench_rows(args.sizes, config, repeats=args.repeats, seed=args.seed)
+    rows = bench_rows(args.sizes, config, [args.repeats] * len(args.sizes),
+                      seed=args.seed)
     many = len(rows) > 1
     lines = ["num_edges\tseconds\trate_edges_per_second"
              + "\tratio_vs_log2" * many]

@@ -21,7 +21,9 @@ before, so the per-node kernel (`_evaluate`) and the numpy snapshot pass
 labelling once: its `block_cells` give both H and the next pass's M. The
 sequential sweep counts none: it reads the graph's cached `NodeTables`,
 edits M in place, and sums its H from the accepted moves' dS, so a probe
-(`run_mcmc`) counts M at its start and once more at its end.
+(`run_mcmc`) counts M at its start and once more at its end. The engine
+writes no cell of the dict state itself: accepted nodal moves and block
+merges (a block moved as one node) both commit through `graph.apply_move`.
 All logarithms are natural.
 """
 from __future__ import annotations
@@ -39,10 +41,10 @@ import numpy as np
 from .graph import (
     BlockModelState,
     Partition,
-    _bump,
     apply_move,
     block_cells,
     block_degrees,
+    block_edge_counts,
     core_change,
     node_block_edge_counts,
     runs,
@@ -453,7 +455,7 @@ def mcmc_sweep(graph, partition, state, H, config, sweep_index=0):
                 tables, a, state, cache, B, beta, i, j, u_coin, u_prop,
                 u_accept)
             if counts is not None:
-                apply_move(state, i, r, s, counts)
+                apply_move(state, r, s, counts)
                 # rows r and s of M + M^T change at every block the node
                 # reaches; any other row t only at r and s, by its k edges
                 cache.pop(r, None)
@@ -543,32 +545,6 @@ def merge_delta_S(state, r, s):
     return dS + xlogx[dor + dos] + xlogx[dir_ + dis]
 
 
-def _merge_into(state, r, s):
-    """Fold block r into block s on the live state (row/col r become empty)."""
-    rows, cols = state.rows, state.cols
-    row_r = rows[r]
-    col_r = cols[r]
-    rows[r] = {}
-    cols[r] = {}
-    for t in row_r:
-        if t != r:
-            del cols[t][r]
-    for t in col_r:
-        if t != r:
-            del rows[t][r]
-    for t, w in row_r.items():
-        _bump(state, s, s if t == r else t, w)
-    for t, w in col_r.items():
-        if t != r:
-            _bump(state, t, s, w)
-    state.d_out[s] += state.d_out[r]
-    state.d_in[s] += state.d_in[r]
-    state.d[s] += state.d[r]
-    state.d_out[r] = 0
-    state.d_in[r] = 0
-    state.d[r] = 0
-
-
 def merge_candidates(cell, m, B, uniforms):
     """Draw and score merge candidates for all B blocks in one numpy pass,
     given M's sorted nonzero cells (`block_cells`).
@@ -647,10 +623,11 @@ def merge_blocks(graph, partition, target_B, config, rng):
     in one numpy pass (`merge_candidates`), and each block's best enters a
     heap. The merges are applied one at a time, cheapest first; a popped
     candidate is re-scored against the live state first, and goes back on
-    the heap if earlier merges made it dearer than the next one. When the
-    heap runs dry, the pass runs again on the current groups; after 100
-    passes without a candidate, every group's cheapest partner is scored
-    directly. Returns the merged partition.
+    the heap if earlier merges made it dearer than the next one, and a
+    merge commits r into s as one node (`apply_move` of
+    `block_edge_counts`). When the heap runs dry, the pass runs again on
+    the current groups; if it draws no candidate, every group's cheapest
+    partner is scored on the state instead. Returns the merged partition.
     """
     if target_B < 1:
         raise ValueError("target_B must be at least 1")
@@ -676,7 +653,6 @@ def merge_blocks(graph, partition, target_B, config, rng):
 
     merged = 0
     need = B - target_B
-    empty_refills = 0
     while merged < need:
         if not heap:
             roots, group = np.unique([find(x) for x in range(B)],
@@ -686,13 +662,11 @@ def merge_blocks(graph, partition, target_B, config, rng):
             heap = [(dS, int(roots[r]), int(roots[s])) for dS, r, s
                     in _best_merges(cell, m, len(roots), P, rng)]
             if not heap:
-                empty_refills += 1
-                if empty_refills > 100:
-                    # no draw reaches another group: give each its cheapest
-                    # partner, scored on the state
-                    roots = roots.tolist()
-                    heap = [min((merge_delta_S(state, r, s), r, s)
-                                for s in roots if s != r) for r in roots]
+                # no draw reaches another group: give each its cheapest
+                # partner, scored on the state
+                roots = roots.tolist()
+                heap = [min((merge_delta_S(state, r, s), r, s)
+                            for s in roots if s != r) for r in roots]
             heapq.heapify(heap)
             continue
         dS, r, s = heapq.heappop(heap)
@@ -706,7 +680,7 @@ def merge_blocks(graph, partition, target_B, config, rng):
         if heap and dS_now > heap[0][0] + 1e-12:
             heapq.heappush(heap, (dS_now, r, s))
             continue
-        _merge_into(state, r, s)
+        apply_move(state, r, s, block_edge_counts(state, r))
         parent[r] = s
         merged += 1
 
@@ -897,11 +871,11 @@ def warm_start(previous, graph_now):
     return Partition(a, next_block)
 
 
-def split_partition(partition, rng, factor=2):
-    """Randomly split each block into up to `factor` parts.
+def split_partition(partition, rng):
+    """Randomly split each block into up to two parts.
 
     Gives a streaming restart headroom to probe block counts above the
     previous stage's optimum (merges can only reduce B).
     """
-    sub = rng.integers(0, factor, size=len(partition.assignment))
-    return Partition(partition.assignment * factor + sub).compact()
+    sub = rng.integers(0, 2, size=len(partition.assignment))
+    return Partition(partition.assignment * 2 + sub).compact()

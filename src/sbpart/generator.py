@@ -69,14 +69,13 @@ class StreamSchedule:
         return len(self.stages)
 
 
-def sample_truth_partition(config, rng=None):
+def sample_truth_partition(config):
     """Block proportions ~ Dirichlet(alpha), nodes assigned i.i.d. multinomial.
 
     Empty blocks are repaired by reassigning one random node from the largest
     block, so all num_blocks labels are realized.
     """
-    if rng is None:
-        rng = np.random.default_rng([config.rng_seed, 0])
+    rng = np.random.default_rng([config.rng_seed, 0])
     N, B = config.num_nodes, config.num_blocks
     alpha = config.block_size_concentration
     props = rng.dirichlet(np.full(B, alpha))
@@ -98,10 +97,9 @@ def sample_bounded_powerlaw(n, exponent, lower, upper, rng):
     return (lower ** a1 + u * (upper ** a1 - lower ** a1)) ** (1.0 / a1)
 
 
-def sample_degree_corrections(config, truth, rng=None):
+def sample_degree_corrections(config, truth):
     """Per-node theta from a bounded power law, normalized per block to 1."""
-    if rng is None:
-        rng = np.random.default_rng([config.rng_seed, 1])
+    rng = np.random.default_rng([config.rng_seed, 1])
     N = config.num_nodes
     if config.uniform_degrees:
         raw = np.ones(N)
@@ -139,11 +137,10 @@ def resolve_interaction_matrix(config, truth):
     return omega
 
 
-def generate_edges(config, truth, theta, rng=None):
+def generate_edges(config, truth, theta):
     """Draw the graph: per block pair, a Poisson edge total with endpoints
     assigned within each block proportional to theta."""
-    if rng is None:
-        rng = np.random.default_rng([config.rng_seed, 2])
+    rng = np.random.default_rng([config.rng_seed, 2])
     omega = resolve_interaction_matrix(config, truth)
     B = config.num_blocks
     if omega.shape != (B, B):

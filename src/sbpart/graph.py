@@ -4,11 +4,14 @@ The block model's sufficient statistic is the B x B inter-block edge-count
 matrix M together with the per-block in/out degree vectors. M is counted as
 its sorted nonzero cells (`block_cells`, degrees by `block_degrees`), which
 the numpy passes read; the loops that edit M in place hold it as a dict
-state (one dict per row, mirrored per column), which single-node moves keep
-exact without recomputation. A move r -> s of one node changes, for each
-other block t, the cells (r, t), (s, t), (t, r) and (t, s) by the node's
-edge weights to and from t, and the 2 x 2 core of r and s (`core_change`):
-the closed form that both nodal sweeps score and `apply_move` commits.
+state (one dict per row, mirrored per column), which moves keep exact
+without recomputation. A move r -> s of one node changes, for each other
+block t, the cells (r, t), (s, t), (t, r) and (t, s) by the node's edge
+weights to and from t, and the 2 x 2 core of r and s (`core_change`): the
+closed form that both nodal sweeps score and `apply_move` commits.
+`apply_move` is the one writer of the dict state: a merge of block r into
+s is the move of r as one node (`block_edge_counts`), whose edge weights
+are row and column r of M and whose self-loop is M[r, r].
 
 A Graph never changes once built, so the Python lists that the exact sweep
 reads one node at a time (`NodeTables`) are built once per graph, on first
@@ -210,7 +213,8 @@ class BlockModelState:
 
 @dataclass
 class NodeBlockEdgeCounts:
-    """Edge weight between one node and each block, by direction.
+    """Edge weight between one node (or a whole block, as a merge moves it)
+    and each block, by direction.
 
     A self-loop contributes to the node's own block in both direction maps,
     hence twice in `combined` (consistent with k_i counting it twice).
@@ -277,6 +281,16 @@ def node_block_edge_counts(tables, assignment, i):
     for t, w in in_c.items():
         comb[t] = comb.get(t, 0) + w
     return NodeBlockEdgeCounts(out_c, in_c, comb, tables.self_loop[i])
+
+
+def block_edge_counts(state, r):
+    """Block r of the dict state as one node, for `apply_move` to merge:
+    its edge weights to each block are row r of M, from each block column
+    r, and its self-loop M[r, r]. The maps are copies, since the move
+    edits row r while it walks them; `combined` is left empty."""
+    row = state.rows[r]
+    return NodeBlockEdgeCounts(dict(row), dict(state.cols[r]),
+                               self_loop=row.get(r, 0))
 
 
 def runs(key):
@@ -346,17 +360,18 @@ def _bump(state, t1, t2, dw):
         del row[t2], col[t1]
 
 
-def apply_move(state, i, from_block, to_block, counts):
-    """Move node i, whose edge weights to each block are `counts`
-    (`node_block_edge_counts`), from block r to block s on the state in
-    place: for each other block t the cells (r, t) and (s, t) change by
-    -/+ the node's weight to t, and (t, r) and (t, s) by -/+ its weight
-    from t; then the 2 x 2 core (`core_change`) and the four degrees.
+def apply_move(state, r, s, counts):
+    """Move the node whose edge weights to each block are `counts` from
+    block r to block s on the state in place: for each other block t the
+    cells (r, t) and (s, t) change by -/+ the node's weight to t, and
+    (t, r) and (t, s) by -/+ its weight from t; then the 2 x 2 core
+    (`core_change`) and the four degrees. The node is one vertex
+    (`node_block_edge_counts`) or a whole block (`block_edge_counts`), which
+    merges r into s. The only code that writes the dict state.
 
     The result is bit-identical to recomputing M on the post-move partition;
-    only rows/columns `from_block` and `to_block` change.
+    only rows/columns r and s change.
     """
-    r, s = from_block, to_block
     if r == s:
         raise ValueError("no-op move: from_block equals to_block")
     for t, w in counts.out_counts.items():

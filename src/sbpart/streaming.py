@@ -20,7 +20,7 @@ class StreamingSession:
     stream therefore reproduces the non-streaming pipeline exactly. Truth
     and the generated-node mask, if given, are indexed by node id and must
     cover every node the stream reaches; each stage is scored on the
-    generated nodes present.
+    generated nodes present, once there are at least two.
     """
 
     def __init__(self, config=None, truth=None, generated_mask=None,
@@ -65,7 +65,7 @@ def ingest_stage(session, batch, stage=None):
     return session
 
 
-def partition_stage(session, config=None):
+def partition_stage(session):
     """Partition the accumulated graph, warm-starting from the previous stage.
 
     Stage 1 (and every stage when cold_each_stage is set) runs the search
@@ -76,8 +76,7 @@ def partition_stage(session, config=None):
     """
     if session.stage_index == 0:
         raise ValueError("no stage ingested yet")
-    if config is None:
-        config = session.config
+    config = session.config
     graph = session.graph
     t0 = time.perf_counter()
     unchanged = (session.partition is not None
@@ -97,7 +96,7 @@ def partition_stage(session, config=None):
         split_rng = np.random.default_rng(
             [config.rng_seed, 0x5EED, session.stage_index])
         initial = split_partition(warm_start(session.partition, graph),
-                                  split_rng, factor=2)
+                                  split_rng)
     trace = []
     partition, best_B, best_H = golden_section_search(
         graph, config, initial_partition=initial, trace=trace)
@@ -131,7 +130,9 @@ def _finish_stage(session, graph, partition, best_B, best_H, elapsed, config,
         n = graph.num_nodes
         mask = None if session.generated_mask is None \
             else session.generated_mask[:n]
-        if mask is None or mask.any():
+        # pairwise metrics need two nodes: a stage that selects fewer is
+        # not scored
+        if (n if mask is None else np.count_nonzero(mask)) >= 2:
             report["correctness"] = correctness_report(
                 session.truth[:n], partition.assignment, mask).to_dict()
     session.reports.append(report)

@@ -151,7 +151,7 @@ def nodal_update(i, partition, state, graph, config, rng):
                           draw_neighbor(graph, i, u[0]), u[1], u[2], u[3])
     outcome, commit = _outcome(i, evaluated), evaluated[2]
     if commit is not None:
-        apply_move(state, i, r, outcome.proposed_block, commit)
+        apply_move(state, r, outcome.proposed_block, commit)
         partition.assignment[i] = outcome.proposed_block
     return outcome
 

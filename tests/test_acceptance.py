@@ -144,7 +144,7 @@ def test_criterion_3_incremental_matrix():
             if s == r:
                 continue
             counts = node_block_edge_counts(tables, p.assignment, i)
-            apply_move(state, i, r, s, counts)
+            apply_move(state, r, s, counts)
             p.assignment[i] = s
             moves += 1
         fresh = recompute_block_matrix(g, p)
@@ -171,7 +171,7 @@ def test_criterion_4_restricted_delta():
             continue
         counts = node_block_edge_counts(NodeTables(g), p.assignment, i)
         after = copy_state(before)
-        apply_move(after, i, r, s, counts)
+        apply_move(after, r, s, counts)
         restricted = delta_log_posterior(before, after, r, s)
         full = entropy_sum(before) - entropy_sum(after)
         rel = abs(restricted - full) / max(abs(full), 1e-10)

@@ -1,12 +1,13 @@
 """Property test of the dict block state: any sequence of node moves
-(`apply_move`) and block merges (`_merge_into`) leaves M, `d_out`, `d_in`
-and `d` equal to a fresh count of the resulting labelling."""
+and block merges, both committed by `apply_move` (a merge moves a block
+as one node, `block_edge_counts`), leaves M, `d_out`, `d_in` and `d`
+equal to a fresh count of the resulting labelling."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sbpart.engine import _merge_into
-from sbpart.graph import (NodeTables, Partition, apply_move, build_graph,
-                          node_block_edge_counts, recompute_block_matrix)
+from sbpart.graph import (NodeTables, Partition, apply_move, block_edge_counts,
+                          build_graph, node_block_edge_counts,
+                          recompute_block_matrix)
 
 
 @st.composite
@@ -38,13 +39,13 @@ def test_moves_and_merges_match_recount(case):
             r = int(a[x])
             if r == y:
                 continue
-            apply_move(state, x, r, y,
+            apply_move(state, r, y,
                        node_block_edge_counts(NodeTables(g), a, x))
             a[x] = y
         else:
             if x == y:
                 continue
-            _merge_into(state, x, y)
+            apply_move(state, x, y, block_edge_counts(state, x))
             a[a == x] = y
         fresh = recompute_block_matrix(g, Partition(a, B))
         assert state.rows == fresh.rows

@@ -82,7 +82,7 @@ def test_delta_log_posterior_three_cycle():
     before = recompute_block_matrix(g, p)
     counts = node_block_edge_counts(NodeTables(g), p.assignment, 2)
     after = copy_state(before)
-    apply_move(after, 2, 1, 0, counts)
+    apply_move(after, 1, 0, counts)
     restricted = delta_log_posterior(before, after, 1, 0)
     full = entropy_sum(before) - entropy_sum(after)
     assert restricted == pytest.approx(full, abs=1e-12)
@@ -97,7 +97,7 @@ def test_delta_log_posterior_noop_move_is_zero():
     # node 3 is isolated
     counts = node_block_edge_counts(NodeTables(g), p.assignment, 3)
     after = copy_state(before)
-    apply_move(after, 3, 2, 1, counts)
+    apply_move(after, 2, 1, counts)
     assert delta_log_posterior(before, after, 2, 1) == pytest.approx(0.0,
                                                                      abs=1e-12)
 
@@ -117,7 +117,7 @@ def test_restricted_delta_matches_full_on_random_moves():
             continue
         counts = node_block_edge_counts(NodeTables(g), p.assignment, i)
         after = copy_state(before)
-        apply_move(after, i, r, s, counts)
+        apply_move(after, r, s, counts)
         restricted = delta_log_posterior(before, after, r, s)
         full = entropy_sum(before) - entropy_sum(after)
         assert restricted == pytest.approx(full, rel=1e-10, abs=1e-10)
@@ -201,7 +201,7 @@ def test_hastings_reverse_consistency():
         before = recompute_block_matrix(g, p)
         counts = node_block_edge_counts(tables, p.assignment, i)
         after = copy_state(before)
-        apply_move(after, i, r, s, counts)
+        apply_move(after, r, s, counts)
         pf, pb = hastings_correction(i, counts, before, after, r, s, B)
         p2 = copy_partition(p)
         p2.assignment[i] = s
@@ -452,7 +452,8 @@ def test_merge_refill_uses_current_groups(monkeypatch):
 def test_merge_round_without_candidates(monkeypatch):
     """Two blocks joined only to themselves: every proposal draws its own
     block, so no round has a candidate. merge_blocks refills the empty
-    heap from new rounds, then scores the pair on the state and merges."""
+    heap from one new round; when that draws nothing too, it scores the
+    pair on the state and merges."""
     g = build_graph([(0, 0, 10**6), (1, 1, 10**6)])
     rounds = []
     original = engine.merge_candidates
@@ -465,7 +466,7 @@ def test_merge_round_without_candidates(monkeypatch):
     merged = merge_blocks(g, Partition([0, 1]), 1, MCMCConfig(),
                           np.random.default_rng(0))
     assert merged.num_blocks == 1
-    assert len(rounds) > 100 and not any(rounds)
+    assert rounds == [0, 0]
 
 
 @pytest.mark.parametrize("mode", ["sequential", "batch"])
@@ -663,7 +664,7 @@ def test_warm_start_tie_goes_to_lowest_id():
 def test_split_partition_refines():
     rng = np.random.default_rng(59)
     p = Partition(rng.integers(0, 3, 30), 3)
-    sp = split_partition(p, np.random.default_rng(0), factor=2)
+    sp = split_partition(p, np.random.default_rng(0))
     assert sp.num_blocks >= p.num_blocks
     # split blocks never mix nodes from different original blocks
     for blk in range(sp.num_blocks):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sbpart.generator import (GeneratorConfig, embed_in_real_graph,
+from sbpart.generator import (GeneratedGraph, GeneratorConfig,
+                              embed_in_real_graph,
                               emit_streaming_stages, generate, generate_edges,
                               resolve_interaction_matrix,
                               sample_bounded_powerlaw,
                               sample_degree_corrections,
                               sample_truth_partition)
-from sbpart.graph import build_graph
+from sbpart.graph import Partition, build_graph
 
 from engine_reference import to_dense
 
@@ -214,30 +216,37 @@ def test_stages_single_stage_is_whole_graph():
         {(i, j): w for i, j, w in gen.graph.edge_list()}
 
 
+@st.composite
+def _stream_cases(draw):
+    """A graph with self-loops, isolated nodes and repeated edges, wrapped
+    as a generated graph, a stage count up to its edge count, and a
+    stream seed."""
+    n = draw(st.integers(1, 30))
+    ids = st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(ids, ids, st.integers(1, 3)), min_size=1,
+                         max_size=80))
+    g = build_graph(rows, num_nodes=n)
+    gen = GeneratedGraph(g, Partition(np.zeros(n, dtype=np.int64), 1),
+                         np.ones(n, dtype=bool))
+    stages = draw(st.integers(1, len(g.edge_list())))
+    return gen, stages, draw(st.integers(0, 2**32 - 1))
+
+
 @pytest.mark.parametrize("mode", ["edge-emergence", "snowball"])
-def test_stage_union_is_whole_graph(mode):
-    rng = np.random.default_rng(19)
-    for case in range(10):
-        cfg = GeneratorConfig(num_nodes=int(rng.integers(20, 60)),
-                              num_blocks=2,
-                              target_total_edges=int(rng.integers(40, 150)),
-                              rng_seed=case)
-        gen = generate(cfg)
-        if gen.graph.total_edge_weight == 0:
-            continue
-        stages = int(rng.integers(2, 6))
-        sched = emit_streaming_stages(gen, mode, stages, rng_seed=case)
-        assert sched.num_stages == stages
-        assert _edge_multiset(sched.stages) == \
-            {(i, j): w for i, j, w in gen.graph.edge_list()}
+@settings(max_examples=100, deadline=None)
+@given(case=_stream_cases())
+def test_stage_union_is_whole_graph(mode, case):
+    gen, stages, seed = case
+    sched = emit_streaming_stages(gen, mode, stages, rng_seed=seed)
+    assert sched.num_stages == stages
+    assert _edge_multiset(sched.stages) == \
+        {(i, j): w for i, j, w in gen.graph.edge_list()}
 
 
 def test_snowball_path_prefix():
     """On a path graph the snowball frontier is a contiguous segment."""
     edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
     g = build_graph(edges)
-    from sbpart.generator import GeneratedGraph
-    from sbpart.graph import Partition
     gen = GeneratedGraph(g, Partition([0, 0, 0, 0], 1),
                          np.ones(4, dtype=bool))
     sched = emit_streaming_stages(gen, "snowball", 2, rng_seed=0)

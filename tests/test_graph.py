@@ -105,7 +105,7 @@ def test_apply_move_single_edge():
     p = Partition([0, 1])
     state = recompute_block_matrix(g, p)
     counts = node_block_edge_counts(NodeTables(g), p.assignment, 1)
-    apply_move(state, 1, 1, 0, counts)
+    apply_move(state, 1, 0, counts)
     assert to_dense(state).tolist() == [[1, 0], [0, 0]]
     assert list(state.d_out) == [1, 0]
     assert list(state.d_in) == [1, 0]
@@ -117,7 +117,7 @@ def test_apply_move_rejects_noop():
     state = recompute_block_matrix(g, p)
     counts = node_block_edge_counts(NodeTables(g), p.assignment, 0)
     with pytest.raises(ValueError):
-        apply_move(state, 0, 0, 0, counts)
+        apply_move(state, 0, 0, counts)
 
 
 def test_apply_move_three_cycle_collapse():
@@ -125,7 +125,7 @@ def test_apply_move_three_cycle_collapse():
     p = Partition([0, 0, 1])
     state = recompute_block_matrix(g, p)
     counts = node_block_edge_counts(NodeTables(g), p.assignment, 2)
-    apply_move(state, 2, 1, 0, counts)
+    apply_move(state, 1, 0, counts)
     assert to_dense(state).tolist() == [[3, 0], [0, 0]]
 
 
@@ -154,7 +154,7 @@ def test_random_moves_match_recompute():
             if s == r:
                 continue
             counts = node_block_edge_counts(tables, p.assignment, i)
-            apply_move(state, i, r, s, counts)
+            apply_move(state, r, s, counts)
             p.assignment[i] = s
             moves_done += 1
         fresh = recompute_block_matrix(g, p)

@@ -171,3 +171,20 @@ def test_stream_builds_node_tables_once_per_stage():
         session = run_stream(sched.stages, config=small_config())
     assert sum(r["search"]["probes"] for r in session.reports) > 10
     assert built.call_count == 10
+
+
+def test_stage_with_one_node_is_not_scored():
+    """Stage 1 reaches node 0 only: pairwise metrics need two nodes, so it
+    goes unscored and the stream carries on to score stage 2."""
+    session = run_stream([[(0, 0, 1)], [(0, 1, 1), (1, 2, 1)]],
+                         config=small_config(), truth=[0, 0, 1])
+    assert "correctness" not in session.reports[0]
+    assert session.reports[1]["correctness"]["num_nodes_evaluated"] == 3
+
+
+def test_mask_selecting_one_node_is_not_scored():
+    session = run_stream([[(0, 1, 1)], [(1, 2, 1), (2, 3, 1)]],
+                         config=small_config(), truth=[0, 0, 1, 1],
+                         generated_mask=[False, True, False, True])
+    assert "correctness" not in session.reports[0]
+    assert session.reports[1]["correctness"]["num_nodes_evaluated"] == 2

@@ -5,8 +5,9 @@
 
 The first form runs 36 fixed searches with the sbpart of CHECKOUT (default:
 this checkout) and writes, per item, the block count B, the first 16 hex
-digits of the sha256 of the partition's int64 bytes and repr(H) as JSON
-(to stdout without -o). The items:
+digits of the sha256 of the partition's int64 bytes, the same digest of
+the partition renumbered by first appearance (the grouping, whatever its
+labels) and repr(H) as JSON (to stdout without -o). The items:
 
 - perfbench's offline-sequential and offline-batch rounds 0-2 at seed 5, and
   every stage of its stream-snowball round (`perfbench/workloads.py`, read
@@ -15,8 +16,9 @@ digits of the sha256 of the partition's int64 bytes and repr(H) as JSON
   0) streamed in 10 edge-emergence stages with MCMCConfig(rng_seed=0);
 - cold searches on desk graphs 0-4 in both modes, MCMCConfig(rng_seed=seed).
 
-The second form prints the items whose B, hash or repr(H) differ between
-two such files, and exits 1 if any do.
+The second form prints each item that differs between two such files with
+what differs: B, the grouping, only the labels of the same grouping, or
+only repr(H). It exits 1 if any item differs.
 """
 from __future__ import annotations
 
@@ -37,10 +39,18 @@ PERFBENCH_SEED = 5
 DESK_SEEDS = range(5)
 
 
+def _digest(a):
+    return hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest()[:16]
+
+
 def _row(item, assignment, B, H):
-    digest = hashlib.sha256(
-        np.asarray(assignment, dtype=np.int64).tobytes()).hexdigest()
-    return {"item": item, "B": int(B), "partition_sha256_16": digest[:16],
+    a = np.asarray(assignment)
+    # renumber by first appearance: equal for equal groupings
+    _, first, inverse = np.unique(a, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return {"item": item, "B": int(B), "partition_sha256_16": _digest(a),
+            "grouping_sha256_16": _digest(rank[inverse]),
             "H": repr(float(H))}
 
 
@@ -90,14 +100,29 @@ def identity_rows(sb):
     return rows
 
 
+def _difference(x, y):
+    """What differs between two rows of one item, or None if nothing."""
+    if x is None or y is None:
+        return "missing from " + ("A" if x is None else "B")
+    if x["B"] != y["B"]:
+        return f"B {x['B']} -> {y['B']}"
+    if x["grouping_sha256_16"] != y["grouping_sha256_16"]:
+        return "grouping"
+    if x["partition_sha256_16"] != y["partition_sha256_16"]:
+        return "labels only (same grouping)"
+    if x["H"] != y["H"]:
+        return f"repr(H) only: {x['H']} -> {y['H']}"
+    return None
+
+
 def compare(path_a, path_b):
-    """Names of the items that differ between two identity files (an item
-    missing from either side differs)."""
+    """(item, what differs or None) per item of two identity files (an
+    item missing from either side differs)."""
     with open(path_a) as fa, open(path_b) as fb:
         a = {r["item"]: r for r in json.load(fa)["rows"]}
         b = {r["item"]: r for r in json.load(fb)["rows"]}
-    return [item for item in list(a) + [x for x in b if x not in a]
-            if a.get(item) != b.get(item)]
+    return [(item, _difference(a.get(item), b.get(item)))
+            for item in list(a) + [x for x in b if x not in a]]
 
 
 def main(argv=None):
@@ -108,10 +133,11 @@ def main(argv=None):
     p.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
     args = p.parse_args(argv)
     if args.compare:
-        differ = compare(*args.compare)
-        for item in differ:
-            print(f"differs: {item}")
-        print(f"{len(differ)} item(s) differ")
+        items = compare(*args.compare)
+        differ = [(item, what) for item, what in items if what]
+        for item, what in differ:
+            print(f"differs: {item}: {what}")
+        print(f"{len(differ)} of {len(items)} item(s) differ")
         return 1 if differ else 0
     sb = workloads.load_sbpart(args.root)
     rows = identity_rows(sb)
