@@ -17,7 +17,9 @@ closed form, summed in one term order:
 
 A cell adds x log x before the move minus after it, a degree after minus
 before, so the per-node kernel (`_evaluate`) and the numpy snapshot pass
-(`_score_moves`) give the same dS bit for bit. The batch sweep counts each
+(`_score_moves`) give the same dS bit for bit, unless a cell or degree is
+an integer whose `np.log` and `math.log` differ in the last bit (8 below
+200,000 on one x86-64 build, the first 9170). The batch sweep counts each
 labelling once: its `block_cells` give both H and the next pass's M. The
 sequential sweep counts none: it reads the graph's cached `NodeTables`,
 edits M in place, and sums its H from the accepted moves' dS, so a probe
@@ -115,7 +117,7 @@ def _cells_length(graph, B, cells):
     N, E = graph.num_nodes, graph.total_edge_weight
     if E == 0:
         return N * math.log(B) if B > 1 else 0.0
-    cell, m, _ = cells
+    cell, m = cells
     # each degree vector ends at its last nonzero block: the float sum's
     # grouping, and so its last bits, depend on the vector's length
     d_out, d_in = (x[:np.flatnonzero(x)[-1] + 1]
@@ -319,7 +321,7 @@ def snapshot_proposals(graph, b, B, cells, beta, uniforms):
     proposal is their own block are dropped. Returns the arrays (nodes,
     proposed, accepted, delta_S, p_accept) over the remaining nodes.
     """
-    cell, m, _ = cells
+    cell, m = cells
     d_out, d_in = block_degrees(cell, m, B)
     d = d_out + d_in
     get_m = _cell_reader(cell, m, B)
@@ -637,8 +639,8 @@ def merge_blocks(graph, partition, target_B, config, rng):
         raise ValueError(f"target_B={target_B} exceeds current B={B}")
     if target_B == B:
         return partition
-    cell, m, first = block_cells(graph, partition.assignment, B)
-    state = BlockModelState.from_cells(B, cell, m, first)
+    cell, m = block_cells(graph, partition.assignment, B)
+    state = BlockModelState.from_cells(B, cell, m)
 
     P = config.merge_proposals_per_block
     heap = _best_merges(cell, m, B, P, rng)
@@ -657,8 +659,8 @@ def merge_blocks(graph, partition, target_B, config, rng):
         if not heap:
             roots, group = np.unique([find(x) for x in range(B)],
                                      return_inverse=True)
-            cell, m, _ = block_cells(graph, group[partition.assignment],
-                                     len(roots))
+            cell, m = block_cells(graph, group[partition.assignment],
+                                  len(roots))
             heap = [(dS, int(roots[r]), int(roots[s])) for dS, r, s
                     in _best_merges(cell, m, len(roots), P, rng)]
             if not heap:

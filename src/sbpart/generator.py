@@ -41,6 +41,8 @@ class GeneratorConfig:
             raise ValueError("overlap_ratio must be in [0, 1)")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+        if self.target_total_edges is not None and self.target_total_edges < 1:
+            raise ValueError("target_total_edges must be positive")
         if self.interaction_matrix is not None:
             om = np.asarray(self.interaction_matrix, dtype=np.float64)
             if om.shape != (self.num_blocks, self.num_blocks):

@@ -2,20 +2,21 @@
 
 The block model's sufficient statistic is the B x B inter-block edge-count
 matrix M together with the per-block in/out degree vectors. M is counted as
-its sorted nonzero cells (`block_cells`, degrees by `block_degrees`), which
-the numpy passes read; the loops that edit M in place hold it as a dict
-state (one dict per row, mirrored per column), which moves keep exact
-without recomputation. A move r -> s of one node changes, for each other
-block t, the cells (r, t), (s, t), (t, r) and (t, s) by the node's edge
-weights to and from t, and the 2 x 2 core of r and s (`core_change`): the
-closed form that both nodal sweeps score and `apply_move` commits.
-`apply_move` is the one writer of the dict state: a merge of block r into
-s is the move of r as one node (`block_edge_counts`), whose edge weights
-are row and column r of M and whose self-loop is M[r, r].
+its sorted nonzero cells, keys and weights (`block_cells`; degrees by
+`block_degrees`), which the numpy passes read; the loops that edit M in
+place hold it as a dict state (one dict per row, mirrored per column, filled
+in key order), which moves keep exact without recomputation. A move r -> s
+of one node changes, for each other block t, the cells (r, t), (s, t),
+(t, r) and (t, s) by the node's edge weights to and from t, and the 2 x 2
+core of r and s (`core_change`): the closed form that both nodal sweeps
+score and `apply_move` commits. `apply_move` is the one writer of the dict
+state: a merge of block r into s is the move of r as one node
+(`block_edge_counts`), whose edge weights are row and column r of M and
+whose self-loop is M[r, r].
 
 A Graph never changes once built, so the Python lists that the exact sweep
 reads one node at a time (`NodeTables`) are built once per graph, on first
-use of `Graph.tables`, and shared by every probe on it.
+use of `Graph.tables`, in the graph's row order, and shared by every probe.
 """
 from __future__ import annotations
 
@@ -193,20 +194,16 @@ class BlockModelState:
         self.ids = ids
 
     @classmethod
-    def from_cells(cls, B, cell, m, first):
-        """The state over B blocks of the cells that `block_cells` returns.
-        Row r lists its blocks as the (source, target)-sorted edges first
-        reach them, and column s by id."""
+    def from_cells(cls, B, cell, m):
+        """The state over B blocks of the cells that `block_cells` returns,
+        filled in key order: each row and each column lists its blocks by
+        id."""
         ids = np.arange(B).astype(object)
-        r, s = ids[cell // B], ids[cell % B]
         rows = [dict() for _ in range(B)]
         cols = [dict() for _ in range(B)]
-        by_first = np.argsort(first)
-        for t1, t2, x in zip(r[by_first].tolist(), s[by_first].tolist(),
-                             m[by_first].tolist()):
-            rows[t1][t2] = x
-        for t1, t2, x in zip(r.tolist(), s.tolist(), m.tolist()):
-            cols[t2][t1] = x
+        for t1, t2, x in zip(ids[cell // B].tolist(), ids[cell % B].tolist(),
+                             m.tolist()):
+            rows[t1][t2] = cols[t2][t1] = x
         d_out, d_in = block_degrees(cell, m, B)
         return cls(rows, cols, d_out.tolist(), d_in.tolist(), ids.tolist())
 
@@ -229,9 +226,9 @@ class NodeTables:
     """A graph's neighbour table as Python lists, for code that reads it
     one node at a time (the exact sequential sweep reads `Graph.tables`).
 
-    out_j[i] and out_w[i] list node i's out-neighbours by id and the
-    weights of i -> j; in_j[i] and in_w[i] its in-neighbours by id and the
-    weights of j -> i; self_loop[i] is the weight of i -> i.
+    out_j[i] and out_w[i] list node i's out-neighbours and the weights of
+    i -> j; in_j[i] and in_w[i] its in-neighbours and the weights of
+    j -> i, both in the graph's row order; self_loop[i] weighs i -> i.
     """
 
     __slots__ = ("out_j", "out_w", "in_j", "in_w", "self_loop")
@@ -248,10 +245,7 @@ class NodeTables:
             return [v[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
         out = np.flatnonzero(graph.w_out > 0)
-        # the in-entries by neighbour id: the ids of the out-section and of
-        # the in-only section interleave
         inn = np.flatnonzero(graph.w_in > 0)
-        inn = inn[np.lexsort((nbr[inn], row[inn]))]
         self.out_j, self.out_w = split(out, ids), split(out, graph.w_out)
         self.in_j, self.in_w = split(inn, ids), split(inn, graph.w_in)
         loop = np.zeros(n, dtype=np.int64)
@@ -263,10 +257,11 @@ class NodeTables:
 def node_block_edge_counts(tables, assignment, i):
     """Edge weight between node i and each block of the labelling
     `assignment` (block ids indexed by node; the sweep passes a list),
-    read from the graph's `NodeTables`. Every map lists its blocks in the
-    order first reached by walking the out-neighbours by id, then the
-    in-neighbours by id (in_counts: all in-neighbours by id); the sweep's
-    float sums follow it."""
+    read from the graph's `NodeTables`. out_counts and in_counts list
+    their blocks in the order the node's out- and in-lists first reach
+    them; `combined` lists out_counts' blocks, then the rest of
+    in_counts', which is the order the node's graph row first reaches
+    them. The sweep's float sums follow `combined`."""
     a = assignment
     out_c, in_c = {}, {}
     for j, w in zip(tables.out_j[i], tables.out_w[i]):
@@ -312,14 +307,14 @@ def runs(key):
 
 def block_cells(graph, assignment, B):
     """The nonzero cells of M = Gamma^T A Gamma for the labelling
-    `assignment` over B blocks: their sorted keys r * B + s, their weights,
-    and the index of the first (source, target)-sorted edge in each."""
+    `assignment` over B blocks: their sorted keys r * B + s and their
+    weights."""
     if len(assignment) != graph.num_nodes:
         raise ValueError("partition length does not match graph")
     src, dst, w = graph._edge_arrays()
     key = assignment[src] * B + assignment[dst]
     order, start = runs(key)
-    return key[order[start]], np.add.reduceat(w[order], start), order[start]
+    return key[order[start]], np.add.reduceat(w[order], start)
 
 
 def block_degrees(cell, m, B):

@@ -298,7 +298,11 @@ def test_exit_code_config_error(tmp_path, capsys):
             ["bench", "--sizes", "0"],
             ["bench", "--sizes", "-5"],
             ["generate", "-N", "10", "-B", "2", "--edges", "50",
-             "--stages", "0", "-o", str(tmp_path / "g")]]
+             "--stages", "0", "-o", str(tmp_path / "g")],
+            ["generate", "-N", "50", "-B", "2", "--edges", "-5",
+             "-o", str(tmp_path / "g")],
+            ["generate", "-N", "50", "-B", "2", "--edges", "0",
+             "--stages", "2", "-o", str(tmp_path / "g")]]
     for argv in runs:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -309,6 +313,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "block_size_concentration must be positive" in err
     assert "merge_proposals_per_block must be positive" in err
     assert "rng_seed must be non-negative" in err
+    assert "target_total_edges must be positive" in err
     assert "argument --stages: not a positive integer: '0'" in err
     assert "argument --sizes: not a positive integer: 'abc'" in err
     assert os.listdir(tmp_path) == ["cliques.tsv"]

@@ -34,6 +34,14 @@ def test_config_validation():
         with pytest.raises(ValueError):
             GeneratorConfig(num_nodes=10, num_blocks=2, target_total_edges=10,
                             block_size_concentration=alpha)
+    for edges in (0, -5):
+        with pytest.raises(ValueError, match="target_total_edges"):
+            GeneratorConfig(num_nodes=10, num_blocks=2,
+                            target_total_edges=edges)
+        with pytest.raises(ValueError, match="target_total_edges"):
+            GeneratorConfig(num_nodes=2, num_blocks=2,
+                            interaction_matrix=np.ones((2, 2)),
+                            target_total_edges=edges)
 
 
 def test_truth_sizes_concentrate():

@@ -93,15 +93,19 @@ def test_node_block_edge_counts_brute_force(rows, isolated, data):
     for i in range(n):
         c = node_block_edge_counts(tables, b, i)
         out_c, in_c, comb = {}, {}, {}
-        for j in sorted(t for (s, t) in merged if s == i):
-            w = merged[(i, j)]
-            out_c[b[j]] = out_c.get(b[j], 0) + w
-            comb[b[j]] = comb.get(b[j], 0) + w
-        for j in sorted(s for (s, t) in merged if t == i):
-            w = merged[(j, i)]
-            in_c[b[j]] = in_c.get(b[j], 0) + w
-            comb[b[j]] = comb.get(b[j], 0) + w
-        # the maps list their blocks in this order too; sweep sums follow it
+        # the in-neighbours in table order: those that are also
+        # out-neighbours first
+        table = _documented_neighbors(merged, i)
+        for j, w, _ in table:
+            if w:
+                out_c[b[j]] = out_c.get(b[j], 0) + w
+                comb[b[j]] = comb.get(b[j], 0) + w
+        for j, _, w in table:
+            if w:
+                in_c[b[j]] = in_c.get(b[j], 0) + w
+                comb[b[j]] = comb.get(b[j], 0) + w
+        # the maps list their blocks in this order too; the sweep's sums
+        # follow `combined`
         assert list(c.out_counts.items()) == list(out_c.items())
         assert list(c.in_counts.items()) == list(in_c.items())
         assert list(c.combined.items()) == list(comb.items())
@@ -117,8 +121,9 @@ def test_recompute_block_matrix_matches_edge_loop(rows, isolated, data):
     ref = [dict() for _ in range(4)]
     for s, t, w in g.edge_list():
         ref[b[s]][b[t]] = ref[b[s]].get(b[t], 0) + w
+    # rows and columns both list their blocks by id
     assert [list(r.items()) for r in state.rows] == \
-        [list(r.items()) for r in ref]
+        [sorted(r.items()) for r in ref]
     assert [list(c.items()) for c in state.cols] == \
         [[(r, ref[r][s]) for r in range(4) if s in ref[r]] for s in range(4)]
     assert state.d_out == [sum(r.values()) for r in ref]

@@ -42,7 +42,7 @@ def test_merge_candidates_match_oracle(case, proposals, seed, skew):
     U[:, :, 1] **= skew
     want = [(r, s) for r in range(B) for u in U[r]
             for s in [ref.propose_merge_target(state, r, B, *u)] if s != r]
-    cell, m, _ = block_cells(g, p.assignment, B)
+    cell, m = block_cells(g, p.assignment, B)
     r, s, dS = merge_candidates(cell, m, B, U)
     assert list(zip(r.tolist(), s.tolist())) == want
     oracle = [ref.merge_delta_S(state, x, y) for x, y in want]
@@ -61,7 +61,7 @@ def test_merge_blocks_properties(case, data):
     # blocks in different components of the block graph merge only through
     # a uniform draw, which may never come; below their count the round
     # can fail by design
-    cell, m, _ = block_cells(g, p.assignment, B)
+    cell, m = block_cells(g, p.assignment, B)
     adj = coo_matrix((m, (cell // B, cell % B)), shape=(B, B))
     floor, _ = connected_components(adj, directed=False)
     target = data.draw(st.integers(floor, B))

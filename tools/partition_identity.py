@@ -18,7 +18,8 @@ labels) and repr(H) as JSON (to stdout without -o). The items:
 
 The second form prints each item that differs between two such files with
 what differs: B, the grouping, only the labels of the same grouping, or
-only repr(H). It exits 1 if any item differs.
+only repr(H); when H differs too, both reprs and their relative gap follow.
+It exits 1 if any item differs.
 """
 from __future__ import annotations
 
@@ -101,18 +102,25 @@ def identity_rows(sb):
 
 
 def _difference(x, y):
-    """What differs between two rows of one item, or None if nothing."""
+    """What differs between two rows of one item, or None if nothing; a
+    changed H is appended with both reprs and its relative gap."""
     if x is None or y is None:
         return "missing from " + ("A" if x is None else "B")
     if x["B"] != y["B"]:
-        return f"B {x['B']} -> {y['B']}"
-    if x["grouping_sha256_16"] != y["grouping_sha256_16"]:
-        return "grouping"
-    if x["partition_sha256_16"] != y["partition_sha256_16"]:
-        return "labels only (same grouping)"
+        what = f"B {x['B']} -> {y['B']}"
+    elif x["grouping_sha256_16"] != y["grouping_sha256_16"]:
+        what = "grouping"
+    elif x["partition_sha256_16"] != y["partition_sha256_16"]:
+        what = "labels only (same grouping)"
+    elif x["H"] != y["H"]:
+        what = "repr(H) only"
+    else:
+        return None
     if x["H"] != y["H"]:
-        return f"repr(H) only: {x['H']} -> {y['H']}"
-    return None
+        a, b = float(x["H"]), float(y["H"])
+        gap = abs(b - a) / max(abs(a), abs(b))
+        what += f"; H {x['H']} -> {y['H']} (relative gap {gap:.3g})"
+    return what
 
 
 def compare(path_a, path_b):
