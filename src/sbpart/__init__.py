@@ -11,9 +11,7 @@ from .engine import (MCMCConfig, description_length,
 from .generator import GeneratorConfig, GeneratedGraph, generate, \
     emit_streaming_stages, embed_in_real_graph
 from .metrics import (build_contingency, correctness_report,
-                      computational_report, overall_accuracy,
-                      pairwise_metrics, information_metrics,
-                      blockwise_precision_recall)
+                      computational_report)
 from .streaming import StreamingSession, ingest_stage, partition_stage, \
     run_stream
 
@@ -26,7 +24,5 @@ __all__ = [
     "GeneratorConfig", "GeneratedGraph", "generate",
     "emit_streaming_stages", "embed_in_real_graph",
     "build_contingency", "correctness_report", "computational_report",
-    "overall_accuracy", "pairwise_metrics", "information_metrics",
-    "blockwise_precision_recall",
     "StreamingSession", "ingest_stage", "partition_stage", "run_stream",
 ]

@@ -15,6 +15,8 @@ import numpy as np
 
 from .graph import Graph, Partition, build_graph
 
+EMBED_BLOCK_CELLS = 1 << 20     # cells per block of embed_in_real_graph's draw
+
 
 @dataclass
 class GeneratorConfig:
@@ -63,12 +65,7 @@ class GeneratedGraph:
 
 @dataclass
 class StreamSchedule:
-    mode: str
     stages: list = field(default_factory=list)
-
-    @property
-    def num_stages(self):
-        return len(self.stages)
 
 
 def sample_truth_partition(config):
@@ -194,10 +191,17 @@ def embed_in_real_graph(real, generated, coupling, rng_seed=0):
     k_gen = gen_graph.degree.astype(np.float64)
     denom = k_real.sum() * k_gen.sum()
     if coupling > 0 and denom > 0:
-        p = np.minimum(coupling * np.outer(k_real, k_gen) / denom, 1.0)
-        hits = np.argwhere(rng.random((n_real, n_gen)) < p)
+        # the hit draw goes by blocks of real-node rows; the uniforms come
+        # in the same order as from one N_real x N_gen draw
+        step = max(1, EMBED_BLOCK_CELLS // n_gen)
+        hits = []
+        for lo in range(0, n_real, step):
+            k = k_real[lo:lo + step]
+            p = np.minimum(coupling * np.outer(k, k_gen) / denom, 1.0)
+            u, v = np.nonzero(rng.random(p.shape) < p)
+            hits += zip((u + lo).tolist(), v.tolist())
         flips = rng.random(len(hits)) < 0.5
-        for (u, v), flip in zip(hits.tolist(), flips.tolist()):
+        for (u, v), flip in zip(hits, flips.tolist()):
             if flip:
                 edges.append((v + n_real, u, 1))
             else:
@@ -230,7 +234,7 @@ def emit_streaming_stages(generated, mode, num_stages, rng_seed=0):
         perm = rng.permutation(E)
         batches = [[edges[k] for k in chunk]
                    for chunk in np.array_split(perm, num_stages)]
-        return StreamSchedule(mode, batches)
+        return StreamSchedule(batches)
     if mode != "snowball":
         raise ValueError(f"unknown streaming mode {mode!r}")
 
@@ -277,4 +281,4 @@ def emit_streaming_stages(generated, mode, num_stages, rng_seed=0):
         batches.append(batch)
     final = [(i, j, w) for i, j, w in edges if not (inside[i] and inside[j])]
     batches.append(final)
-    return StreamSchedule("snowball", batches)
+    return StreamSchedule(batches)

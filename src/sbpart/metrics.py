@@ -1,37 +1,17 @@
 """Partition correctness metrics and computational reporting.
 
-Three metric families over the truth-vs-output contingency table: unit
-counting (assignment-matched accuracy and blockwise precision/recall),
-pairwise counting (Rand index, adjusted Rand index, pairwise
-precision/recall), and information-theoretic (mutual information ratios).
-Entropies are in nats.
+`correctness_report` scores a partition against the truth from one truth x
+output contingency table, in three metric families: unit counting
+(assignment-matched accuracy and blockwise precision/recall), pairwise
+counting (Rand index, adjusted Rand index, pairwise precision/recall) and
+information-theoretic (mutual information ratios). Entropies are in nats.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-
-@dataclass
-class ContingencyTable:
-    counts: np.ndarray          # R truth blocks x C output blocks
-    row_labels: np.ndarray      # original truth block labels per row
-    col_labels: np.ndarray      # original output block labels per column
-
-    @property
-    def row_totals(self):
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_totals(self):
-        return self.counts.sum(axis=0)
-
-    @property
-    def grand_total(self):
-        return int(self.counts.sum())
 
 
 def _labels(p):
@@ -40,7 +20,9 @@ def _labels(p):
 
 
 def build_contingency(truth, output, mask=None):
-    """counts[t][o] = number of masked-in nodes with truth t and output o."""
+    """R x C int64 count matrix: [t][o] = number of masked-in nodes whose
+    truth label is the t-th smallest present and whose output label is the
+    o-th smallest present."""
     t = _labels(truth)
     o = _labels(output)
     if len(t) != len(o):
@@ -57,123 +39,18 @@ def build_contingency(truth, output, mask=None):
     col_labels, oi = np.unique(o, return_inverse=True)
     counts = np.zeros((len(row_labels), len(col_labels)), dtype=np.int64)
     np.add.at(counts, (ti, oi), 1)
-    return ContingencyTable(counts, row_labels, col_labels)
-
-
-def _matching(table):
-    """Injective truth-output block matching maximizing matched nodes."""
-    rows, cols = linear_sum_assignment(table.counts, maximize=True)
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
-def overall_accuracy(table):
-    """Fraction of nodes on the optimally matched diagonal."""
-    matched = sum(int(table.counts[r, c]) for r, c in _matching(table))
-    return matched / table.grand_total
-
-
-@dataclass
-class BlockwisePR:
-    precision: np.ndarray          # per output block; 0 for unmatched blocks
-    recall: np.ndarray             # per truth block
-    matched_pairs: list            # (truth row, output col) index pairs
-    surplus_output_blocks: list    # output cols with no matched truth block
-
-
-def blockwise_precision_recall(table):
-    pairs = _matching(table)
-    col_tot = table.col_totals
-    row_tot = table.row_totals
-    precision = np.zeros(table.counts.shape[1])
-    recall = np.zeros(table.counts.shape[0])
-    matched_cols = set()
-    for r, c in pairs:
-        matched_cols.add(c)
-        if col_tot[c] > 0:
-            precision[c] = table.counts[r, c] / col_tot[c]
-        if row_tot[r] > 0:
-            recall[r] = table.counts[r, c] / row_tot[r]
-    surplus = [c for c in range(table.counts.shape[1])
-               if c not in matched_cols]
-    return BlockwisePR(precision, recall, pairs, surplus)
-
-
-@dataclass
-class PairwiseMetrics:
-    same_same: int          # category 1: same truth block, same output block
-    diff_diff: int          # category 2
-    same_diff: int          # category 3
-    diff_same: int          # category 4
-    rand_index: float
-    adjusted_rand_index: float
-    precision: float
-    recall: float
-
-
-def _c2(x):
-    x = np.asarray(x, dtype=object)
-    return int(np.sum(x * (x - 1) // 2))
-
-
-def pairwise_metrics(table):
-    """Closed-form pair categories from the contingency table (no pair loop)."""
-    n = table.grand_total
-    if n < 2:
-        raise ValueError("need at least two nodes for pairwise metrics")
-    c1 = _c2(table.counts.ravel())
-    same_truth = _c2(table.row_totals)
-    same_out = _c2(table.col_totals)
-    total = n * (n - 1) // 2
-    c3 = same_truth - c1
-    c4 = same_out - c1
-    c2 = total - c1 - c3 - c4
-    rand = (c1 + c2) / total
-    expected = same_truth * same_out / total
-    max_index = 0.5 * (same_truth + same_out)
-    if max_index == expected:
-        ari = 1.0
-    else:
-        ari = (c1 - expected) / (max_index - expected)
-    precision = c1 / (c1 + c4) if c1 + c4 > 0 else 1.0
-    recall = c1 / (c1 + c3) if c1 + c3 > 0 else 1.0
-    return PairwiseMetrics(c1, c2, c3, c4, rand, ari, precision, recall)
-
-
-@dataclass
-class InformationMetrics:
-    mutual_information: float
-    truth_entropy: float
-    output_entropy: float
-    precision: float | None     # I / H(output); None if undefined
-    recall: float | None        # I / H(truth)
-
-
-def information_metrics(table):
-    """Plug-in entropies and mutual information (nats) from the table."""
-    n = table.grand_total
-    pt = table.row_totals / n
-    po = table.col_totals / n
-    h_t = float(-np.sum(pt[pt > 0] * np.log(pt[pt > 0])))
-    h_o = float(-np.sum(po[po > 0] * np.log(po[po > 0])))
-    mi = 0.0
-    for r in range(table.counts.shape[0]):
-        for c in range(table.counts.shape[1]):
-            nij = table.counts[r, c]
-            if nij > 0:
-                pij = nij / n
-                mi += pij * math.log(pij / (pt[r] * po[c]))
-    mi = max(mi, 0.0)
-
-    def ratio(h):
-        if h > 0:
-            return mi / h
-        return 1.0 if mi == 0.0 else None
-
-    return InformationMetrics(mi, h_t, h_o, ratio(h_o), ratio(h_t))
+    return counts
 
 
 @dataclass
 class CorrectnessReport:
+    """Every correctness metric of one partition against the truth.
+
+    blockwise_precision[k] belongs to the k-th smallest output label present
+    and blockwise_recall[k] to the k-th smallest truth label present, not to
+    label k; an output block that the matching leaves unmatched has
+    precision 0.
+    """
     num_nodes_evaluated: int
     overall_accuracy: float
     blockwise_precision: list
@@ -186,34 +63,78 @@ class CorrectnessReport:
     mutual_information: float
     truth_entropy: float
     output_entropy: float
-    info_precision: float | None
-    info_recall: float | None
+    info_precision: float | None     # I / H(output); None if undefined
+    info_recall: float | None        # I / H(truth)
 
     def to_dict(self):
         return asdict(self)
 
 
+def _c2(x):
+    x = np.asarray(x, dtype=object)
+    return int(np.sum(x * (x - 1) // 2))
+
+
 def correctness_report(truth, output, mask=None):
-    table = build_contingency(truth, output, mask)
-    pw = pairwise_metrics(table)
-    info = information_metrics(table)
-    bw = blockwise_precision_recall(table)
+    """Score output against truth on the nodes mask selects: one block
+    matching, closed-form pair counts and plug-in information."""
+    counts = build_contingency(truth, output, mask)
+    n = int(counts.sum())
+    if n < 2:
+        raise ValueError("need at least two nodes for pairwise metrics")
+    row_tot = counts.sum(axis=1)
+    col_tot = counts.sum(axis=0)
+
+    # injective truth-output block matching maximizing matched nodes
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    matched = counts[rows, cols]
+    precision = np.zeros(counts.shape[1])
+    recall = np.zeros(counts.shape[0])
+    precision[cols] = matched / col_tot[cols]
+    recall[rows] = matched / row_tot[rows]
+
+    # pairs in one block: c1 on both sides, c2 neither, c3 truth, c4 output
+    c1 = _c2(counts.ravel())
+    same_truth = _c2(row_tot)
+    same_out = _c2(col_tot)
+    total = n * (n - 1) // 2
+    c3 = same_truth - c1
+    c4 = same_out - c1
+    c2 = total - c1 - c3 - c4
+    expected = same_truth * same_out / total
+    max_index = 0.5 * (same_truth + same_out)
+    ari = 1.0 if max_index == expected else \
+        (c1 - expected) / (max_index - expected)
+
+    pt = row_tot / n
+    po = col_tot / n
+    r, c = np.nonzero(counts)
+    pij = counts[r, c] / n
+    mi = max(float(np.sum(pij * np.log(pij / (pt[r] * po[c])))), 0.0)
+    h_t = float(-np.sum(pt * np.log(pt)))
+    h_o = float(-np.sum(po * np.log(po)))
+
+    def ratio(h):
+        if h > 0:
+            return mi / h
+        return 1.0 if mi == 0.0 else None
+
     return CorrectnessReport(
-        num_nodes_evaluated=table.grand_total,
-        overall_accuracy=overall_accuracy(table),
-        blockwise_precision=bw.precision.tolist(),
-        blockwise_recall=bw.recall.tolist(),
-        pair_categories={"same_same": pw.same_same, "diff_diff": pw.diff_diff,
-                         "same_diff": pw.same_diff, "diff_same": pw.diff_same},
-        rand_index=pw.rand_index,
-        adjusted_rand_index=pw.adjusted_rand_index,
-        pairwise_precision=pw.precision,
-        pairwise_recall=pw.recall,
-        mutual_information=info.mutual_information,
-        truth_entropy=info.truth_entropy,
-        output_entropy=info.output_entropy,
-        info_precision=info.precision,
-        info_recall=info.recall,
+        num_nodes_evaluated=n,
+        overall_accuracy=int(matched.sum()) / n,
+        blockwise_precision=precision.tolist(),
+        blockwise_recall=recall.tolist(),
+        pair_categories={"same_same": c1, "diff_diff": c2,
+                         "same_diff": c3, "diff_same": c4},
+        rand_index=(c1 + c2) / total,
+        adjusted_rand_index=ari,
+        pairwise_precision=c1 / (c1 + c4) if c1 + c4 > 0 else 1.0,
+        pairwise_recall=c1 / (c1 + c3) if c1 + c3 > 0 else 1.0,
+        mutual_information=mi,
+        truth_entropy=h_t,
+        output_entropy=h_o,
+        info_precision=ratio(h_o),
+        info_recall=ratio(h_t),
     )
 
 

@@ -34,7 +34,6 @@ class StreamingSession:
         self.cold_each_stage = cold_each_stage
         self.graph = None
         self.partition = None
-        self._partitioned_weight = -1     # edge weight at the last partition
         self.stage_index = 0
         self.reports = []
         self.last_H = None
@@ -79,36 +78,23 @@ def partition_stage(session):
     config = session.config
     graph = session.graph
     t0 = time.perf_counter()
-    unchanged = (session.partition is not None
-                 and not session.cold_each_stage
-                 and len(session.partition) == graph.num_nodes
-                 and graph.total_edge_weight == session._partitioned_weight)
-    if unchanged:
-        # stage added no edges: the previous partition still applies
+    warm = session.partition is not None and not session.cold_each_stage
+    trace = []
+    if warm and graph.total_edge_weight == session.reports[-1]["num_edges"]:
+        # stage added no edges (so no nodes): the previous partition applies
         partition, best_B, best_H = (session.partition, session.last_B,
                                      session.last_H)
-        elapsed = time.perf_counter() - t0
-        return _finish_stage(session, graph, partition, best_B, best_H,
-                             elapsed, config, warm=True, trace=[])
-    warm = session.partition is not None and not session.cold_each_stage
-    initial = None
-    if warm:
-        split_rng = np.random.default_rng(
-            [config.rng_seed, 0x5EED, session.stage_index])
-        initial = split_partition(warm_start(session.partition, graph),
-                                  split_rng)
-    trace = []
-    partition, best_B, best_H = golden_section_search(
-        graph, config, initial_partition=initial, trace=trace)
+    else:
+        initial = None
+        if warm:
+            split_rng = np.random.default_rng(
+                [config.rng_seed, 0x5EED, session.stage_index])
+            initial = split_partition(warm_start(session.partition, graph),
+                                      split_rng)
+        partition, best_B, best_H = golden_section_search(
+            graph, config, initial_partition=initial, trace=trace)
     elapsed = time.perf_counter() - t0
-    return _finish_stage(session, graph, partition, best_B, best_H,
-                         elapsed, config, warm, trace)
-
-
-def _finish_stage(session, graph, partition, best_B, best_H, elapsed, config,
-                  warm, trace):
     session.partition = partition
-    session._partitioned_weight = graph.total_edge_weight
     session.last_H = best_H
     session.last_B = best_B
 

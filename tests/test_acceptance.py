@@ -21,8 +21,7 @@ from sbpart.generator import (GeneratorConfig, emit_streaming_stages,
 from sbpart.graph import (NodeTables, Partition, apply_move, block_cells,
                           build_graph, node_block_edge_counts,
                           recompute_block_matrix)
-from sbpart.metrics import build_contingency, correctness_report, \
-    information_metrics, overall_accuracy, pairwise_metrics
+from sbpart.metrics import correctness_report
 from sbpart.streaming import StreamingSession, ingest_stage, partition_stage
 
 from conftest import random_graph, random_partition
@@ -82,20 +81,18 @@ def parallel_runs(desk_graphs):
 def test_criterion_1_table1_reproduction(table1):
     t0 = time.perf_counter()
     truth, output = table1
-    table = build_contingency(truth, output)
-    acc = overall_accuracy(table)
-    pw = pairwise_metrics(table)
-    info = information_metrics(table)
+    rep = correctness_report(truth, output)
     elapsed = time.perf_counter() - t0
-    ok = (abs(acc - 50 / 56) <= 1e-4
-          and abs(pw.precision - 0.8999) <= 1e-3
-          and abs(pw.recall - 0.8148) <= 1e-3
-          and abs(info.precision - 0.57) <= 0.01
-          and abs(info.recall - 0.71) <= 0.01
+    ok = (abs(rep.overall_accuracy - 50 / 56) <= 1e-4
+          and abs(rep.pairwise_precision - 0.8999) <= 1e-3
+          and abs(rep.pairwise_recall - 0.8148) <= 1e-3
+          and abs(rep.info_precision - 0.57) <= 0.01
+          and abs(rep.info_recall - 0.71) <= 0.01
           and elapsed < 1.0)
-    _report(1, ok, f"accuracy={acc:.4f} pairwise={pw.precision:.4f}/"
-            f"{pw.recall:.4f} info={info.precision:.3f}/{info.recall:.3f} "
-            f"in {elapsed:.3f}s")
+    _report(1, ok, f"accuracy={rep.overall_accuracy:.4f} "
+            f"pairwise={rep.pairwise_precision:.4f}/"
+            f"{rep.pairwise_recall:.4f} info={rep.info_precision:.3f}/"
+            f"{rep.info_recall:.3f} in {elapsed:.3f}s")
 
 
 def test_criterion_2_pairwise_oracle():
@@ -106,7 +103,7 @@ def test_criterion_2_pairwise_oracle():
         n = int(rng.integers(2, 41))
         truth = rng.integers(0, rng.integers(1, 7), n)
         output = rng.integers(0, rng.integers(1, 7), n)
-        pw = pairwise_metrics(build_contingency(truth, output))
+        cats = correctness_report(truth, output).pair_categories
         c1 = c2 = c3 = c4 = 0
         for i, j in combinations(range(n), 2):
             st = truth[i] == truth[j]
@@ -119,8 +116,8 @@ def test_criterion_2_pairwise_oracle():
                 c3 += 1
             else:
                 c4 += 1
-        if (pw.same_same, pw.diff_diff, pw.same_diff, pw.diff_same) != \
-                (c1, c2, c3, c4):
+        if (cats["same_same"], cats["diff_diff"], cats["same_diff"],
+                cats["diff_same"]) != (c1, c2, c3, c4):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 30.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sbpart import generator
 from sbpart.generator import (GeneratedGraph, GeneratorConfig,
                               embed_in_real_graph,
                               emit_streaming_stages, generate, generate_edges,
@@ -199,6 +200,24 @@ def test_embed_cross_edge_count():
     assert abs(np.mean(crosses) - coupling) <= 0.2 * coupling
 
 
+@pytest.mark.parametrize("block_cells", [1, 100])
+def test_embed_blocked_draw_matches_one_draw(block_cells, monkeypatch):
+    """The hit draw in blocks of real-node rows gives the cross edges of
+    one draw over all real x generated pairs."""
+    real = build_graph([(i, (i * 7 + 3) % 25, 1) for i in range(25)])
+    cfg = GeneratorConfig(num_nodes=30, num_blocks=2, target_total_edges=90,
+                          rng_seed=2)
+    gen = generate(cfg)
+    for seed in range(3):
+        for coupling in (1.0, 20.0, 1e6):
+            whole = embed_in_real_graph(real, gen, coupling, rng_seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(generator, "EMBED_BLOCK_CELLS", block_cells)
+                blocked = embed_in_real_graph(real, gen, coupling,
+                                              rng_seed=seed)
+            assert blocked.graph.edge_list() == whole.graph.edge_list()
+
+
 def test_embed_rejects_negative_coupling():
     real = build_graph([(0, 1, 1)])
     cfg = GeneratorConfig(num_nodes=10, num_blocks=1, target_total_edges=20)
@@ -219,7 +238,7 @@ def test_stages_single_stage_is_whole_graph():
                           rng_seed=5)
     gen = generate(cfg)
     sched = emit_streaming_stages(gen, "edge-emergence", 1)
-    assert sched.num_stages == 1
+    assert len(sched.stages) == 1
     assert _edge_multiset(sched.stages) == \
         {(i, j): w for i, j, w in gen.graph.edge_list()}
 
@@ -246,7 +265,7 @@ def _stream_cases(draw):
 def test_stage_union_is_whole_graph(mode, case):
     gen, stages, seed = case
     sched = emit_streaming_stages(gen, mode, stages, rng_seed=seed)
-    assert sched.num_stages == stages
+    assert len(sched.stages) == stages
     assert _edge_multiset(sched.stages) == \
         {(i, j): w for i, j, w in gen.graph.edge_list()}
 
@@ -258,7 +277,7 @@ def test_snowball_path_prefix():
     gen = GeneratedGraph(g, Partition([0, 0, 0, 0], 1),
                          np.ones(4, dtype=bool))
     sched = emit_streaming_stages(gen, "snowball", 2, rng_seed=0)
-    assert sched.num_stages == 2
+    assert len(sched.stages) == 2
     first = sched.stages[0]
     assert first and len(first) < 3
     nodes = sorted({i for e in first for i in e[:2]})

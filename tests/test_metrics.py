@@ -3,11 +3,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sbpart.metrics import (blockwise_precision_recall, build_contingency,
-                            computational_report, correctness_report,
-                            information_metrics, overall_accuracy,
-                            pairwise_metrics)
+from sbpart import metrics
+from sbpart.metrics import (build_contingency, computational_report,
+                            correctness_report)
 
 
 def brute_force_categories(truth, output):
@@ -26,17 +26,23 @@ def brute_force_categories(truth, output):
     return c1, c2, c3, c4
 
 
+def categories(rep):
+    cats = rep.pair_categories
+    return (cats["same_same"], cats["diff_diff"], cats["same_diff"],
+            cats["diff_same"])
+
+
 def test_contingency_basic():
     t = build_contingency([0, 0, 1], [0, 0, 1])
-    assert t.counts.tolist() == [[2, 0], [0, 1]]
-    assert t.grand_total == 3
+    assert t.tolist() == [[2, 0], [0, 1]]
+    assert t.sum() == 3
 
 
 def test_contingency_mask():
     t = build_contingency([0, 0, 1, 1], [0, 1, 1, 1],
                           mask=[True, False, True, True])
-    assert t.grand_total == 3
-    assert t.counts.tolist() == [[1, 0], [0, 2]]
+    assert t.sum() == 3
+    assert t.tolist() == [[1, 0], [0, 2]]
 
 
 def test_contingency_errors():
@@ -51,25 +57,23 @@ def test_contingency_errors():
 def test_table1_unit_counting(table1):
     truth, output = table1
     t = build_contingency(truth, output)
-    assert t.counts.tolist() == [[30, 2, 0], [1, 20, 3]]
-    assert overall_accuracy(t) == pytest.approx(50 / 56, abs=1e-12)
-    bw = blockwise_precision_recall(t)
-    assert bw.precision[0] == pytest.approx(30 / 31, abs=1e-12)
-    assert bw.precision[1] == pytest.approx(20 / 22, abs=1e-12)
-    assert bw.recall[0] == pytest.approx(30 / 32, abs=1e-12)
-    assert bw.recall[1] == pytest.approx(20 / 24, abs=1e-12)
+    assert t.tolist() == [[30, 2, 0], [1, 20, 3]]
+    rep = correctness_report(truth, output)
+    assert rep.overall_accuracy == pytest.approx(50 / 56, abs=1e-12)
+    assert rep.blockwise_precision[0] == pytest.approx(30 / 31, abs=1e-12)
+    assert rep.blockwise_precision[1] == pytest.approx(20 / 22, abs=1e-12)
+    assert rep.blockwise_recall[0] == pytest.approx(30 / 32, abs=1e-12)
+    assert rep.blockwise_recall[1] == pytest.approx(20 / 24, abs=1e-12)
     # third output block has no matched truth block: surplus, precision 0
-    assert bw.surplus_output_blocks == [2]
-    assert bw.precision[2] == 0.0
+    assert rep.blockwise_precision[2] == 0.0
 
 
 def test_table1_pairwise(table1):
     truth, output = table1
-    pw = pairwise_metrics(build_contingency(truth, output))
-    assert (pw.same_same, pw.diff_diff, pw.same_diff, pw.diff_same) == \
-        (629, 698, 143, 70)
-    assert pw.precision == pytest.approx(629 / 699, abs=1e-12)
-    assert pw.recall == pytest.approx(629 / 772, abs=1e-12)
+    pw = correctness_report(truth, output)
+    assert categories(pw) == (629, 698, 143, 70)
+    assert pw.pairwise_precision == pytest.approx(629 / 699, abs=1e-12)
+    assert pw.pairwise_recall == pytest.approx(629 / 772, abs=1e-12)
     assert pw.rand_index == pytest.approx(1327 / 1540, abs=1e-12)
     assert pw.adjusted_rand_index == pytest.approx(0.7234428590217893,
                                                    abs=1e-12)
@@ -77,13 +81,14 @@ def test_table1_pairwise(table1):
 
 def test_table1_information(table1):
     truth, output = table1
-    info = information_metrics(build_contingency(truth, output))
+    info = correctness_report(truth, output)
     assert info.mutual_information == pytest.approx(0.4843424612922911,
                                                     abs=1e-12)
     assert info.truth_entropy == pytest.approx(0.6829081047004717, abs=1e-12)
     assert info.output_entropy == pytest.approx(0.8512021518257418, abs=1e-12)
-    assert info.precision == pytest.approx(0.5690099117506058, abs=1e-12)
-    assert info.recall == pytest.approx(0.7092351927858978, abs=1e-12)
+    assert info.info_precision == pytest.approx(0.5690099117506058,
+                                                abs=1e-12)
+    assert info.info_recall == pytest.approx(0.7092351927858978, abs=1e-12)
 
 
 def test_pairwise_matches_brute_force():
@@ -93,12 +98,9 @@ def test_pairwise_matches_brute_force():
         n = int(rng.integers(2, 41))
         truth = rng.integers(0, rng.integers(1, 6), n)
         output = rng.integers(0, rng.integers(1, 6), n)
-        pw = pairwise_metrics(build_contingency(truth, output))
-        assert (pw.same_same, pw.diff_diff, pw.same_diff, pw.diff_same) == \
-            brute_force_categories(truth, output)
-        total = n * (n - 1) // 2
-        assert pw.same_same + pw.diff_diff + pw.same_diff + pw.diff_same \
-            == total
+        cats = categories(correctness_report(truth, output))
+        assert cats == brute_force_categories(truth, output)
+        assert sum(cats) == n * (n - 1) // 2
 
 
 def test_pairwise_symmetry():
@@ -107,39 +109,36 @@ def test_pairwise_symmetry():
         n = int(rng.integers(2, 30))
         a = rng.integers(0, 4, n)
         b = rng.integers(0, 4, n)
-        pw = pairwise_metrics(build_contingency(a, b))
-        sw = pairwise_metrics(build_contingency(b, a))
+        pw = correctness_report(a, b)
+        sw = correctness_report(b, a)
         assert pw.rand_index == pytest.approx(sw.rand_index, abs=1e-12)
         assert pw.adjusted_rand_index == pytest.approx(
             sw.adjusted_rand_index, abs=1e-12)
-        assert pw.precision == pytest.approx(sw.recall, abs=1e-12)
-        assert pw.recall == pytest.approx(sw.precision, abs=1e-12)
-        info = information_metrics(build_contingency(a, b))
-        info_sw = information_metrics(build_contingency(b, a))
-        assert info.mutual_information == pytest.approx(
-            info_sw.mutual_information, abs=1e-12)
+        assert pw.pairwise_precision == pytest.approx(sw.pairwise_recall,
+                                                      abs=1e-12)
+        assert pw.pairwise_recall == pytest.approx(sw.pairwise_precision,
+                                                   abs=1e-12)
+        assert pw.mutual_information == pytest.approx(
+            sw.mutual_information, abs=1e-12)
 
 
 def test_identical_partitions_score_one():
     a = [0, 0, 1, 1, 2]
-    t = build_contingency(a, a)
-    assert overall_accuracy(t) == 1.0
-    pw = pairwise_metrics(t)
-    assert pw.precision == pw.recall == pw.rand_index == 1.0
-    assert pw.adjusted_rand_index == 1.0
-    info = information_metrics(t)
-    assert info.precision == pytest.approx(1.0)
-    assert info.recall == pytest.approx(1.0)
+    rep = correctness_report(a, a)
+    assert rep.overall_accuracy == 1.0
+    assert rep.pairwise_precision == rep.pairwise_recall == \
+        rep.rand_index == 1.0
+    assert rep.adjusted_rand_index == 1.0
+    assert rep.info_precision == pytest.approx(1.0)
+    assert rep.info_recall == pytest.approx(1.0)
 
 
 def test_single_block_both_sides():
     # zero entropy on both sides with zero MI: ratios defined as 1
-    t = build_contingency([0, 0, 0], [0, 0, 0])
-    info = information_metrics(t)
-    assert info.mutual_information == 0.0
-    assert info.precision == 1.0 and info.recall == 1.0
-    pw = pairwise_metrics(t)
-    assert pw.rand_index == 1.0 and pw.adjusted_rand_index == 1.0
+    rep = correctness_report([0, 0, 0], [0, 0, 0])
+    assert rep.mutual_information == 0.0
+    assert rep.info_precision == 1.0 and rep.info_recall == 1.0
+    assert rep.rand_index == 1.0 and rep.adjusted_rand_index == 1.0
 
 
 def test_accuracy_invariant_under_relabeling():
@@ -148,30 +147,28 @@ def test_accuracy_invariant_under_relabeling():
         n = int(rng.integers(3, 40))
         truth = rng.integers(0, 4, n)
         output = rng.integers(0, 4, n)
-        base = overall_accuracy(build_contingency(truth, output))
+        base = correctness_report(truth, output)
         perm = rng.permutation(10)
-        relabeled = perm[output]
-        assert overall_accuracy(build_contingency(truth, relabeled)) \
-            == pytest.approx(base, abs=1e-12)
-        info = information_metrics(build_contingency(truth, output))
-        info2 = information_metrics(build_contingency(truth, relabeled))
-        assert info.mutual_information == pytest.approx(
-            info2.mutual_information, abs=1e-12)
+        relabeled = correctness_report(truth, perm[output])
+        assert relabeled.overall_accuracy == pytest.approx(
+            base.overall_accuracy, abs=1e-12)
+        assert base.mutual_information == pytest.approx(
+            relabeled.mutual_information, abs=1e-12)
 
 
 def test_mi_bounds():
     rng = np.random.default_rng(11)
     for _ in range(30):
         n = int(rng.integers(2, 40))
-        t = build_contingency(rng.integers(0, 5, n), rng.integers(0, 5, n))
-        info = information_metrics(t)
+        info = correctness_report(rng.integers(0, 5, n),
+                                  rng.integers(0, 5, n))
         assert 0.0 <= info.mutual_information \
             <= min(info.truth_entropy, info.output_entropy) + 1e-12
 
 
 def test_pairwise_needs_two_nodes():
     with pytest.raises(ValueError):
-        pairwise_metrics(build_contingency([0], [0]))
+        correctness_report([0], [0])
 
 
 def test_correctness_report_fields(table1):
@@ -192,3 +189,35 @@ def test_computational_report_arithmetic():
     assert rep.energy_watts is None and rep.rate_per_watt is None
     with pytest.raises(ValueError):
         computational_report(10, 0.0)
+
+
+def test_one_matching_per_report(table1, monkeypatch):
+    """Accuracy and blockwise precision/recall share one block matching."""
+    solve = metrics.linear_sum_assignment
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "linear_sum_assignment", counting)
+    correctness_report(*table1)
+    assert len(calls) == 1
+
+
+@st.composite
+def _masked_labellings(draw):
+    n = draw(st.integers(2, 40))
+    labels = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(
+        lambda m: sum(m) >= 2))
+    return (np.array(draw(labels)), np.array(draw(labels)), np.array(mask))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_masked_labellings())
+def test_mask_equals_restriction(case):
+    """Scoring under a mask is scoring the masked-in nodes alone."""
+    truth, output, mask = case
+    assert correctness_report(truth, output, mask) == \
+        correctness_report(truth[mask], output[mask])
