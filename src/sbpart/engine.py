@@ -27,16 +27,21 @@ edits M in place, and sums its H from the accepted moves' dS, so a probe
 writes no cell of the dict state itself: accepted nodal moves and block
 merges (a block moved as one node) both commit through `graph.apply_move`.
 All logarithms are natural.
+
+A proposal from block u draws block t with probability
+(M + M^T)[u, t] / d_u, from the running weights of a fixed walk over row
+u: the numpy passes (`_row_sampler`) walk each row by block id, and the
+sequential sweep (`_propose`) walks its live dicts, row u of M and then
+column u, in insertion order. Both follow this one law, but draw
+different blocks from the same variate once the dicts leave id order.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import os
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -139,60 +144,36 @@ def _sweep_permutation(seed, sweep_index, num_nodes):
     return np.random.Generator(bitgen).permutation(num_nodes)
 
 
-def _propose(a, state, cache, B, j, u_coin, u_prop):
+def _propose(a, state, B, j, u_coin, u_prop):
     """The block proposal for a node whose drawn neighbour is j: a uniform
-    block, or the first block by id whose running weight in row a[j] of
-    M + M^T exceeds floor(u_prop * d). `cache` holds each block's sorted
-    row ids and running weights over its nonzero entries; a move must drop
-    or shift (`_shift_row`) the rows it changes."""
+    block, or a draw from row u = a[j] of M + M^T. The draw walks row u of
+    M, then column u, in their dict order, and takes the first block at
+    which floor(u_prop * d_u) minus the weights walked so far turns
+    negative."""
     u = a[j]
     du = state.d[u]
     if u_coin <= B / (du + B):
         return state.ids[min(int(u_prop * B), B - 1)]
-    row = cache.get(u)
-    if row is None:
-        comb = dict(state.rows[u])
-        for t, w in state.cols[u].items():
-            comb[t] = comb.get(t, 0) + w
-        keys = sorted(comb)
-        cum = list(accumulate(map(comb.__getitem__, keys)))
-        row = cache[u] = keys, cum
-    keys, cum = row
-    return keys[min(bisect_right(cum, u_prop * du), len(keys) - 1)]
+    x = min(int(u_prop * du), du - 1)
+    for t, w in state.rows[u].items():
+        x -= w
+        if x < 0:
+            return t
+    for t, w in state.cols[u].items():
+        x -= w
+        if x < 0:
+            return t
 
 
-def _shift_row(row, r, s, k):
-    """Shift k of a cached `_propose` row's weight from block r to block s,
-    in place, keeping the row as a rebuild would read it: s enters the ids
-    if it was absent, and r leaves them if its weight drops to 0."""
-    keys, cum = row
-    ps = bisect_left(keys, s)
-    if ps == len(keys) or keys[ps] != s:
-        keys.insert(ps, s)
-        cum.insert(ps, cum[ps - 1] if ps else 0)
-    pr = bisect_left(keys, r)
-    if pr < ps:
-        cum[pr:ps] = [c - k for c in cum[pr:ps]]
-    else:
-        cum[ps:pr] = [c + k for c in cum[ps:pr]]
-    if cum[pr] == (cum[pr - 1] if pr else 0):
-        del keys[pr], cum[pr]
+def _evaluate(tables, a, state, B, beta, i, s, u_accept):
+    """Score the move of node i to block s != a[i] against the labelling
+    `a` (a list) and its state; no mutation.
 
-
-def _evaluate(tables, a, state, cache, B, beta, i, j,
-              u_coin, u_prop, u_accept):
-    """One proposal for node i, whose drawn neighbour is j, against the
-    labelling `a` (a list), its state and the `_propose` row cache; no
-    mutation.
-
-    Returns (r, s, commit, (delta_S, p_forward, p_backward, p_accept)) for
-    the move r -> s, where commit is the node's NodeBlockEdgeCounts (what
-    `apply_move` reads) if the move was accepted, else None.
+    Returns (commit, (delta_S, p_forward, p_backward, p_accept)), where
+    commit is the node's NodeBlockEdgeCounts (what `apply_move` reads) if
+    the move was accepted, else None.
     """
     r = a[i]
-    s = _propose(a, state, cache, B, j, u_coin, u_prop)
-    if s == r:
-        return r, s, None, (0.0, 0.0, 0.0, 0.0)
     counts = node_block_edge_counts(tables, a, i)
     out_c = counts.out_counts
     k_out, k_in = sum(out_c.values()), sum(counts.in_counts.values())
@@ -237,7 +218,7 @@ def _evaluate(tables, a, state, cache, B, beta, i, j,
     except OverflowError:
         p_accept = 1.0
     commit = counts if u_accept <= p_accept else None
-    return r, s, commit, (dS, pf, pb, p_accept)
+    return commit, (dS, pf, pb, p_accept)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +276,9 @@ def _row_sampler(cell, m, B):
 
     draw(rows, d, u) picks, for each row r of `rows` with total weight
     d > 0 and variate u, the first block t (by id) whose running weight in
-    row r exceeds floor(u * d).
+    row r exceeds floor(u * d). The sequential sweep's `_propose` walks
+    its dicts in insertion order instead; both draw t with probability
+    (M + M^T)[r, t] / d.
     """
     key = np.concatenate((cell, cell % B * B + cell // B))
     order, start = runs(key)
@@ -316,10 +299,11 @@ def snapshot_proposals(graph, b, B, cells, beta, uniforms):
     numpy pass.
 
     Node i draws its proposal from uniforms[i] with the sequential sweep's
-    rule and is scored with the same dS and Hastings correction, against
-    M as it stands before any move. Nodes without edges and nodes whose
-    proposal is their own block are dropped. Returns the arrays (nodes,
-    proposed, accepted, delta_S, p_accept) over the remaining nodes.
+    law, each row walked by block id, and is scored with the same dS and
+    Hastings correction, against M as it stands before any move. Nodes
+    without edges and nodes whose proposal is their own block are dropped.
+    Returns the arrays (nodes, proposed, accepted, delta_S, p_accept) over
+    the remaining nodes.
     """
     cell, m = cells
     d_out, d_in = block_degrees(cell, m, B)
@@ -448,28 +432,22 @@ def mcmc_sweep(graph, partition, state, H, config, sweep_index=0):
         drawn = graph.draw_neighbors(order, U[order, 0])
         tables = graph.tables
         a = list(map(state.ids.__getitem__, b.tolist()))
-        cache = {}
         accepted = 0
         net = 0.0
         for i, j, (_, u_coin, u_prop, u_accept) in zip(
                 order.tolist(), drawn.tolist(), U[order].tolist()):
-            r, s, counts, scores = _evaluate(
-                tables, a, state, cache, B, beta, i, j, u_coin, u_prop,
-                u_accept)
+            r = a[i]
+            s = _propose(a, state, B, j, u_coin, u_prop)
+            if s == r:
+                continue
+            counts, (dS, *_) = _evaluate(tables, a, state, B, beta, i, s,
+                                         u_accept)
             if counts is not None:
                 apply_move(state, r, s, counts)
-                # rows r and s of M + M^T change at every block the node
-                # reaches; any other row t only at r and s, by its k edges
-                cache.pop(r, None)
-                cache.pop(s, None)
-                for t, k in counts.combined.items():
-                    row = cache.get(t)
-                    if row is not None:
-                        _shift_row(row, r, s, k)
                 a[i] = s
                 b[i] = s
                 accepted += 1
-                net += scores[0]
+                net += dS
         return partition, state, H + net, accepted
     nodes, proposed, accepted, _, _ = snapshot_proposals(
         graph, b, B, state, config.beta, U)
@@ -695,22 +673,28 @@ def merge_blocks(graph, partition, target_B, config, rng):
 # ---------------------------------------------------------------------------
 # golden-section search over B
 
-def _split_to(partition, target, rng):
-    """Grow the block count to `target` by random halvings of the largest
-    block (stops early if every block is a singleton)."""
+def _split_to(graph, partition, target, rng):
+    """Grow the block count to `target` by halving the largest block along
+    its own edges (stops early if every block is a singleton): half of its
+    members move to a new block in breadth-first order, from a random
+    member and again from the next random member when a walk runs out. A
+    node is marked when it moves."""
     a = partition.assignment.copy()
     B = partition.num_blocks
+    ptr, nbr = graph.ptr, graph.nbr
     while B < target:
-        sizes = np.bincount(a, minlength=B)
-        big = int(np.argmax(sizes))
-        idx = np.nonzero(a == big)[0]
-        if len(idx) < 2:
+        big = int(np.argmax(np.bincount(a, minlength=B)))
+        starts = rng.permutation(np.flatnonzero(a == big)).tolist()
+        half = len(starts) // 2
+        if not half:
             break
-        pick = rng.random(len(idx)) < 0.5
-        if not pick.any() or pick.all():
-            pick[:] = False
-            pick[:len(idx) // 2] = True
-        a[idx[pick]] = B
+        queue = deque()
+        while half:
+            i = queue.popleft() if queue else starts.pop()
+            if a[i] == big:
+                a[i] = B
+                half -= 1
+                queue.extend(nbr[ptr[i]:ptr[i + 1]].tolist())
         B += 1
     return Partition(a, B)
 
@@ -775,7 +759,7 @@ def golden_section_search(graph, config, initial_partition=None, trace=None):
                                     config=config, rng=merge_rng)
         else:
             _, start_key = max((v[2], k) for k, v in cache.items())
-            part = _split_to(Partition(cache[start_key][1].copy()),
+            part = _split_to(graph, Partition(cache[start_key][1].copy()),
                              target, split_rng)
         part, H = probe(part, phase, target)
         cache[target] = [H, part.assignment, part.num_blocks]

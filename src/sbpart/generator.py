@@ -9,6 +9,7 @@ theta_i * theta_j * Omega[b_i, b_j], and E[M[r, s]] = Omega[r, s] exactly.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,14 +242,14 @@ def emit_streaming_stages(generated, mode, num_stages, rng_seed=0):
     n = graph.num_nodes
     visit_order = []
     visited = np.zeros(n, dtype=bool)
-    queue = []
+    queue = deque()
     while len(visit_order) < n:
         if not queue:
             unvisited = np.flatnonzero(~visited)
             seed = int(unvisited[rng.integers(len(unvisited))])
             queue.append(seed)
             visited[seed] = True
-        node = queue.pop(0)
+        node = queue.popleft()
         visit_order.append(node)
         for j, _, _ in sorted(graph.neighbors(node)):
             if not visited[j]:

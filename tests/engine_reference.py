@@ -75,9 +75,16 @@ def description_length(state, num_nodes, total_edge_weight):
             + num_nodes * math.log(B) - entropy_sum(state))
 
 
-def _outcome(i, evaluated):
-    r, s, commit, (dS, pf, pb, p_accept) = evaluated
-    return ProposalOutcome(i, r, s, dS, pf, pb, p_accept, commit is not None)
+def _outcome(tables, a, state, beta, i, s, u_accept):
+    """Node i's proposal s, scored by `_evaluate` unless s is its own
+    block; returns the outcome and the commit (None if not accepted)."""
+    r = a[i]
+    if s == r:
+        return ProposalOutcome(i, r, r, 0.0, 0.0, 0.0, 0.0, False), None
+    commit, (dS, pf, pb, p_accept) = _evaluate(
+        tables, a, state, len(state.rows), beta, i, s, u_accept)
+    return (ProposalOutcome(i, r, s, dS, pf, pb, p_accept,
+                            commit is not None), commit)
 
 
 def _window_entropy(row_r, row_s, col_r, col_s, r, s,
@@ -116,9 +123,8 @@ def delta_log_posterior(before, after, r, s):
 def propose_block(i, partition, state, graph, rng):
     """Draw a block proposal for node i per the nodal-update proposal rule."""
     u = rng.random(3)
-    return _propose(partition.assignment.tolist(), state, {},
-                    len(state.rows), draw_neighbor(graph, i, u[0]),
-                    u[1], u[2])
+    return _propose(partition.assignment.tolist(), state, len(state.rows),
+                    draw_neighbor(graph, i, u[0]), u[1], u[2])
 
 
 def draw_neighbor(graph, i, u):
@@ -146,10 +152,11 @@ def nodal_update(i, partition, state, graph, config, rng):
     if graph.degree[i] == 0:
         return ProposalOutcome(i, r, r, 0.0, 0.0, 0.0, 0.0, False)
     u = rng.random(4)
-    evaluated = _evaluate(NodeTables(graph), partition.assignment.tolist(),
-                          state, {}, len(state.rows), config.beta, i,
-                          draw_neighbor(graph, i, u[0]), u[1], u[2], u[3])
-    outcome, commit = _outcome(i, evaluated), evaluated[2]
+    a = partition.assignment.tolist()
+    s = _propose(a, state, len(state.rows), draw_neighbor(graph, i, u[0]),
+                 u[1], u[2])
+    outcome, commit = _outcome(NodeTables(graph), a, state, config.beta, i,
+                               s, u[3])
     if commit is not None:
         apply_move(state, r, outcome.proposed_block, commit)
         partition.assignment[i] = outcome.proposed_block
@@ -159,17 +166,19 @@ def nodal_update(i, partition, state, graph, config, rng):
 def snapshot_outcomes(graph, assignment, state, config, uniforms):
     """Evaluate every node against the frozen (assignment, state) snapshot,
     one `_evaluate` per node: the per-node oracle of the numpy snapshot
-    sweep (`sbpart.engine.snapshot_proposals`)."""
+    sweep (`sbpart.engine.snapshot_proposals`). Each proposal is drawn with
+    the numpy pass's by-id rule (`_propose_by_id`)."""
     B = len(state.rows)
-    tables, a, cache = NodeTables(graph), assignment.tolist(), {}
+    tables, a = NodeTables(graph), assignment.tolist()
     out = []
     for i in range(graph.num_nodes):
         if graph.degree[i] == 0:
             continue
-        j = draw_neighbor(graph, i, uniforms[i, 0])
-        out.append(_outcome(i, _evaluate(tables, a, state, cache, B,
-                                         config.beta, i, j, uniforms[i, 1],
-                                         uniforms[i, 2], uniforms[i, 3])))
+        _, u_coin, u_prop, u_accept = uniforms[i].tolist()
+        s = _propose_by_id(state, a[draw_neighbor(graph, i, uniforms[i, 0])],
+                           B, u_coin, u_prop)
+        out.append(_outcome(tables, a, state, config.beta, i, s,
+                            u_accept)[0])
     return out
 
 
@@ -194,6 +203,13 @@ def propose_merge_target(state, r, B, u_nbr, u_coin, u_prop):
     block u of r (r itself when r has no edges), then a uniform block with
     probability B / (d_u + B), else a block drawn from row u."""
     u = _draw_from_row(state, r, u_nbr) if state.d[r] else r
+    return _propose_by_id(state, u, B, u_coin, u_prop)
+
+
+def _propose_by_id(state, u, B, u_coin, u_prop):
+    """A uniform block with probability B / (d_u + B), else a block drawn
+    from row u of M + M^T by id (`_draw_from_row`): the numpy passes'
+    proposal rule from neighbour block u."""
     if u_coin <= B / (int(state.d[u]) + B):
         return min(int(u_prop * B), B - 1)
     return _draw_from_row(state, u, u_prop)

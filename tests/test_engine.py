@@ -546,9 +546,12 @@ def test_search_deterministic():
     assert np.array_equal(p1.assignment, p2.assignment)
 
 
-def test_search_climbs_from_underspecified_start():
+@pytest.mark.parametrize("seed", range(10))
+def test_search_climbs_from_underspecified_start(seed):
+    """Two disjoint cliques from one block: the climb halves the block
+    along its edges, so the first split is near the cliques and H falls."""
     g = build_graph(directed_clique(10) + directed_clique(10, offset=10))
-    config = MCMCConfig(rng_seed=0, max_sweeps=30)
+    config = MCMCConfig(rng_seed=seed, max_sweeps=30)
     start = Partition(np.zeros(20, dtype=np.int64), 1)
     _, best_B, _ = golden_section_search(g, config, initial_partition=start)
     assert best_B == 2
@@ -575,25 +578,43 @@ def test_warm_search_above_optimum_stays_at_or_below_start():
     assert max(max(e["target"], e["B"]) for e in trace) <= 8
 
 
-def test_warm_search_under_split_start_climbs():
-    """Pairs of planted blocks merged (B0 = 2, half the planted B = 4):
-    merging further cannot help, so the search climbs above B0 and ends
-    near the cold search. (On disjoint cliques a random split of a merged
-    pair leaves each half an even mix of two cliques, where H is flat, and
-    the climb seldom recovers them.)"""
+def under_split_case():
+    """A 4-block graph (N = 120, 1,200 edges) and a start that merges its
+    planted blocks in pairs (B0 = 2)."""
     gen = generate(GeneratorConfig(num_nodes=120, num_blocks=4,
                                    target_total_edges=1200,
                                    overlap_ratio=0.05, rng_seed=0))
+    return gen.graph, Partition(gen.truth.assignment // 2, 2)
+
+
+def test_warm_search_under_split_start_climbs():
+    """Pairs of planted blocks merged (B0 = 2, half the planted B = 4):
+    merging further cannot help, so the search climbs above B0 and ends
+    near the cold search."""
+    graph, start = under_split_case()
     config = MCMCConfig(rng_seed=0)
-    start = Partition(gen.truth.assignment // 2, 2)
     trace = []
     _, best_B, best_H = golden_section_search(
-        gen.graph, config, initial_partition=start, trace=trace)
-    _, _, cold_H = golden_section_search(gen.graph, config)
+        graph, config, initial_partition=start, trace=trace)
+    _, _, cold_H = golden_section_search(graph, config)
     assert [e["phase"] for e in trace[:2]] == ["relax", "halve"]
     assert any(e["phase"] == "climb" and e["target"] > 2 for e in trace)
     assert best_B > 2
     assert best_H <= cold_H * 1.01
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_warm_search_under_split_start_reaches_cold_optimum(seed):
+    """The climb halves each merged pair along its edges, which keeps most
+    of each planted block together: the search ends at the planted B and
+    the cold search's H."""
+    graph, start = under_split_case()
+    config = MCMCConfig(rng_seed=seed)
+    _, best_B, best_H = golden_section_search(graph, config,
+                                              initial_partition=start)
+    _, _, cold_H = golden_section_search(graph, config)
+    assert best_B == 4
+    assert best_H <= cold_H * (1 + 1e-4)
 
 
 @pytest.mark.parametrize("mode", ["sequential", "batch"])

@@ -1,18 +1,18 @@
-"""Property test of the exact sequential sweep against a recount walk.
+"""Property tests of the exact sequential sweep against a recount walk.
 
-The sweep keeps M as a live dict state and caches the proposal rows of
-M + M^T between moves: a move drops the rows of its blocks r and s and
-shifts every other cached row it changes in place (`_shift_row`).
-Beside it, a test-side walk replays the same permutation and uniforms,
-but recounts M before every node, draws the proposal from the recount
-(`engine_reference._draw_from_row`), and scores the move from full
-entropies of the recounts before and after it. The two must agree node by
-node. Graphs of up to 30 nodes give a stale cached row enough chances to
-be read. The sweep's H is the input H plus the accepted moves' dS; it must
-stay within rounding of a recount.
+The sweep keeps M as a live dict state and draws each proposal by walking
+row u of M, then column u, in their dict order (`engine._propose`); every
+accepted move edits the dicts in place (`apply_move`), so that order
+drifts from block id order. Beside it, a test-side walk replays the same
+permutation and uniforms: it draws each proposal from a mirror of the
+start state that replays the accepted moves through `apply_move` (so it
+keeps the sweep's dict order), recounts M before every scored move, and
+scores the move from full entropies of the recounts before and after it.
+The two must agree node by node. The sweep's H is the input H plus the
+accepted moves' dS; it must stay within rounding of a recount.
 """
 import math
-from itertools import accumulate
+from itertools import chain
 from types import SimpleNamespace
 from unittest import mock
 
@@ -20,12 +20,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sbpart import engine
-from sbpart.engine import (MCMCConfig, _shift_row, _sweep_permutation,
+from sbpart.engine import (MCMCConfig, _propose, _sweep_permutation,
                            _sweep_uniforms, description_length, mcmc_sweep,
                            run_mcmc)
-from sbpart.graph import Partition, build_graph, recompute_block_matrix
+from sbpart.graph import (NodeTables, Partition, apply_move, build_graph,
+                          node_block_edge_counts, recompute_block_matrix)
 
-from engine_reference import (_draw_from_row, draw_neighbor, entropy_sum,
+from engine_reference import (copy_state, draw_neighbor, entropy_sum,
                               hastings_correction)
 
 
@@ -43,18 +44,23 @@ def _cases(draw):
             draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 5)))
 
 
-def _walk_step(g, a, B, beta, i, u):
-    """Node i's (proposal, accepted, delta_S) against a recount of M."""
-    state = recompute_block_matrix(g, Partition(a, B))
-    j = draw_neighbor(g, i, u[0])
+def _walk_proposal(state, a, B, j, u):
+    """Node i's proposal, whose drawn neighbour is j: a uniform block, or
+    entry floor(u[2] * d) of row a[j] of M, then column a[j], spelled out
+    one unit of weight at a time in dict order."""
     blk = int(a[j])
-    if u[1] <= B / (int(state.d[blk]) + B):
-        s = min(int(u[2] * B), B - 1)
-    else:
-        s = _draw_from_row(state, blk, u[2])
-    r = int(a[i])
-    if s == r:
-        return s, False, 0.0
+    d = int(state.d[blk])
+    if u[1] <= B / (d + B):
+        return min(int(u[2] * B), B - 1)
+    units = [t for t, w in chain(state.rows[blk].items(),
+                                 state.cols[blk].items()) for _ in range(w)]
+    return units[int(u[2] * d)]
+
+
+def _recount_step(g, a, B, beta, i, s, u_accept):
+    """(accepted, delta_S) of moving node i to block s, against recounts of
+    M before and after the move."""
+    state = recompute_block_matrix(g, Partition(a, B))
     moved = a.copy()
     moved[i] = s
     after = recompute_block_matrix(g, Partition(moved, B))
@@ -63,12 +69,12 @@ def _walk_step(g, a, B, beta, i, u):
     for j, w_out, w_in in g.neighbors(i):
         combined[int(a[j])] = combined.get(int(a[j]), 0) + w_out + w_in
     pf, pb = hastings_correction(i, SimpleNamespace(combined=combined),
-                                 state, after, r, s, B)
+                                 state, after, int(a[i]), s, B)
     try:
         p_accept = min(math.exp(-beta * dS) * pb / pf, 1.0)
     except OverflowError:
         p_accept = 1.0
-    return s, u[3] <= p_accept, dS
+    return u_accept <= p_accept, dS
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,43 +85,87 @@ def test_sequential_sweep_matches_recount_walk(case):
     a = np.array(labels, dtype=np.int64)
     part = Partition(a.copy(), B)
     state = recompute_block_matrix(g, part)
+    mirror = copy_state(state)
     H = description_length(g, part)
 
-    seen = []
-    original = engine._evaluate
+    calls = []
 
-    def recording(*args):
-        out = original(*args)
-        seen.append((args[6], out))
-        return out
-    with mock.patch.object(engine, "_evaluate", recording):
+    def recording(kernel):
+        def record(*args):
+            out = kernel(*args)
+            calls.append((kernel.__name__, args, out))
+            return out
+        return record
+    with mock.patch.object(engine, "_propose", recording(engine._propose)), \
+            mock.patch.object(engine, "_evaluate",
+                              recording(engine._evaluate)):
         part, state, H_out, _ = mcmc_sweep(g, part, state, H, config,
                                            sweep_index=sweep)
 
     U = _sweep_uniforms(seed, sweep, g.num_nodes)
     order = [i for i in _sweep_permutation(seed, sweep, g.num_nodes).tolist()
              if g.degree[i]]
-    assert [i for i, _ in seen] == order
-    for i, (r, s, commit, (dS, *_)) in seen:
-        assert r == a[i]
-        s_walk, accepted, dS_walk = _walk_step(g, a, B, config.beta, i, U[i])
-        assert s == s_walk
+    tables = NodeTables(g)
+    net = 0.0
+    calls = iter(calls)
+    for i in order:
+        name, (*_, j, u_coin, u_prop), s = next(calls)
+        assert name == "_propose"
+        assert j == draw_neighbor(g, i, U[i, 0])
+        assert (u_coin, u_prop) == (U[i, 1], U[i, 2])
+        assert s == _walk_proposal(mirror, a, B, j, U[i])
+        r = int(a[i])
+        if s == r:
+            continue
+        name, args, (commit, (dS, *_)) = next(calls)
+        assert name == "_evaluate" and args[-3:] == (i, s, U[i, 3])
+        accepted, dS_walk = _recount_step(g, a, B, config.beta, i, s,
+                                          U[i, 3])
         assert (commit is not None) == accepted
         assert abs(dS - dS_walk) <= 1e-9 * max(1.0, abs(dS_walk))
         if accepted:
+            apply_move(mirror, r, s,
+                       node_block_edge_counts(tables, a.tolist(), i))
             a[i] = s
+            net += dS
+    assert next(calls, None) is None
     assert np.array_equal(part.assignment, a)
     fresh = recompute_block_matrix(g, part)
     assert state.rows == fresh.rows and state.cols == fresh.cols
     for name in ("d_out", "d_in", "d"):
         assert np.array_equal(getattr(state, name), getattr(fresh, name))
-    net = 0.0
-    for _, (_, _, commit, (dS, *_)) in seen:
-        if commit is not None:
-            net += dS
     assert H_out == H + net
     recount = description_length(g, part)
     assert abs(H_out - recount) <= 1e-9 * max(1.0, abs(recount))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                          max_size=40))
+def test_dict_walk_sends_each_block_its_row_weight(case, moves):
+    """On a state edited by random moves (its dicts no longer by id), the
+    walk over row u of M + M^T sends exactly (M + M^T)[u, t] of the d_u
+    values floor(u_prop * d_u) = 0 ... d_u - 1 to each block t."""
+    g, labels, B, _, _ = case
+    a = list(labels)
+    state = recompute_block_matrix(g, Partition(a, B))
+    tables = NodeTables(g)
+    for i, s in moves:
+        i, s = i % g.num_nodes, s % B
+        if s != a[i]:
+            apply_move(state, a[i], s, node_block_edge_counts(tables, a, i))
+            a[i] = s
+    for u in range(B):
+        d = state.d[u]
+        if not d:
+            continue
+        got = {}
+        for x in range(d):
+            t = _propose([u], state, B, 0, 1.0, (x + 0.5) / d)
+            got[t] = got.get(t, 0) + 1
+        want = {t: state.rows[u].get(t, 0) + state.cols[u].get(t, 0)
+                for t in set(state.rows[u]) | set(state.cols[u])}
+        assert got == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -131,26 +181,3 @@ def test_run_mcmc_returns_the_recounted_H(case, mode, cap):
                                sweep_base=sweep, sweep_cap=cap)
     assert sweeps <= cap
     assert H == description_length(g, part)
-
-
-def _row(weights):
-    keys = sorted(t for t, w in weights.items() if w)
-    return keys, list(accumulate(weights[t] for t in keys))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.integers(0, 20), st.integers(1, 5), min_size=1),
-       st.data())
-def test_shift_row_matches_a_rebuilt_row(weights, data):
-    """A cached proposal row shifted in place equals the row rebuilt from
-    the changed weights: s enters the ids if it was absent, and r leaves
-    them when its weight drops to 0."""
-    r = data.draw(st.sampled_from(sorted(weights)))
-    s = data.draw(st.integers(0, 20).filter(lambda x: x != r))
-    k = data.draw(st.integers(1, weights[r]))
-    row = _row(weights)
-    _shift_row(row, r, s, k)
-    after = dict(weights)
-    after[r] -= k
-    after[s] = after.get(s, 0) + k
-    assert row == _row(after)
