@@ -673,18 +673,20 @@ def merge_blocks(graph, partition, target_B, config, rng):
 # ---------------------------------------------------------------------------
 # golden-section search over B
 
-def _split_to(graph, partition, target, rng):
+def split_partition(graph, partition, target, rng):
     """Grow the block count to `target` by halving the largest block along
-    its own edges (stops early if every block is a singleton): half of its
-    members move to a new block in breadth-first order, from a random
-    member and again from the next random member when a walk runs out. A
-    node is marked when it moves."""
+    its own edges, counting only nodes with edges: half of its nodes with
+    edges move to a new block in breadth-first order, from a random one
+    and again from the next random one when a walk runs out. A node with
+    no edge never moves. Stops early once the largest block has fewer than
+    two nodes with edges. A node is marked when it moves."""
     a = partition.assignment.copy()
     B = partition.num_blocks
     ptr, nbr = graph.ptr, graph.nbr
+    linked = graph.degree > 0
     while B < target:
-        big = int(np.argmax(np.bincount(a, minlength=B)))
-        starts = rng.permutation(np.flatnonzero(a == big)).tolist()
+        big = int(np.argmax(np.bincount(a[linked], minlength=B)))
+        starts = rng.permutation(np.flatnonzero((a == big) & linked)).tolist()
         half = len(starts) // 2
         if not half:
             break
@@ -708,9 +710,9 @@ def golden_section_search(graph, config, initial_partition=None, trace=None):
     cached partition with the closest higher block count.
     A warm search (a given initial partition, B0 blocks) first relaxes the
     start with one probe at B0, unless B0 = 1, and halves from there the
-    same way. It climbs above B0 by doubling (random block splits + MCMC)
-    until H turns upward only when the start looks under-split: the first
-    halving step already rises, the halving reaches B = 1 without an
+    same way. It climbs above B0 by doubling (`split_partition`, then
+    MCMC) until H turns upward only when the start looks under-split: the
+    first halving step already rises, the halving reaches B = 1 without an
     upturn, or B0 = 1. The climb then brackets (lo, peak, first rise).
     If `trace` is a list, one dict per MCMC probe is appended to it:
     phase (relax, halve, climb, golden or polish), target, start_B, B, H
@@ -759,8 +761,8 @@ def golden_section_search(graph, config, initial_partition=None, trace=None):
                                     config=config, rng=merge_rng)
         else:
             _, start_key = max((v[2], k) for k, v in cache.items())
-            part = _split_to(graph, Partition(cache[start_key][1].copy()),
-                             target, split_rng)
+            part = split_partition(graph, Partition(cache[start_key][1]),
+                                   target, split_rng)
         part, H = probe(part, phase, target)
         cache[target] = [H, part.assignment, part.num_blocks]
         return H
@@ -855,13 +857,3 @@ def warm_start(previous, graph_now):
             a[i] = next_block
             next_block += 1
     return Partition(a, next_block)
-
-
-def split_partition(partition, rng):
-    """Randomly split each block into up to two parts.
-
-    Gives a streaming restart headroom to probe block counts above the
-    previous stage's optimum (merges can only reduce B).
-    """
-    sub = rng.integers(0, 2, size=len(partition.assignment))
-    return Partition(partition.assignment * 2 + sub).compact()

@@ -69,9 +69,10 @@ def partition_stage(session):
 
     Stage 1 (and every stage when cold_each_stage is set) runs the search
     cold from one block per node. Later stages carry the previous partition
-    over, split each block in two for headroom above the previous B, and
-    restart the search from there. The stage report's "search" entry
-    summarizes the search's probe trace.
+    over (B blocks), split it to 2 * B blocks for headroom, since merges only
+    lower B (`split_partition`, the search's climb rule), and restart the
+    search from there. The stage report's "search" entry summarizes the
+    search's probe trace.
     """
     if session.stage_index == 0:
         raise ValueError("no stage ingested yet")
@@ -89,7 +90,8 @@ def partition_stage(session):
         if warm:
             split_rng = np.random.default_rng(
                 [config.rng_seed, 0x5EED, session.stage_index])
-            initial = split_partition(warm_start(session.partition, graph),
+            carried = warm_start(session.partition, graph)
+            initial = split_partition(graph, carried, 2 * carried.num_blocks,
                                       split_rng)
         partition, best_B, best_H = golden_section_search(
             graph, config, initial_partition=initial, trace=trace)

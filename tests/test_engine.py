@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from sbpart import engine
@@ -546,13 +547,17 @@ def test_search_deterministic():
     assert np.array_equal(p1.assignment, p2.assignment)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_search_climbs_from_underspecified_start(seed):
-    """Two disjoint cliques from one block: the climb halves the block
-    along its edges, so the first split is near the cliques and H falls."""
-    g = build_graph(directed_clique(10) + directed_clique(10, offset=10))
+@pytest.mark.parametrize("seed, iso", [
+    pytest.param(seed, iso, id=f"{seed}-iso{iso}" if iso else f"{seed}")
+    for iso in (0, 80) for seed in range(10)])
+def test_search_climbs_from_underspecified_start(seed, iso):
+    """Two disjoint cliques from one block, with `iso` isolated nodes in it
+    too: the climb halves the block along its edges, over the nodes that
+    have edges, so the first split is near the cliques and H falls."""
+    g = build_graph(directed_clique(10) + directed_clique(10, offset=10),
+                    num_nodes=20 + iso)
     config = MCMCConfig(rng_seed=seed, max_sweeps=30)
-    start = Partition(np.zeros(20, dtype=np.int64), 1)
+    start = Partition(np.zeros(20 + iso, dtype=np.int64), 1)
     _, best_B, _ = golden_section_search(g, config, initial_partition=start)
     assert best_B == 2
 
@@ -682,15 +687,59 @@ def test_warm_start_tie_goes_to_lowest_id():
     assert part.assignment[2] == 1
 
 
-def test_split_partition_refines():
-    rng = np.random.default_rng(59)
-    p = Partition(rng.integers(0, 3, 30), 3)
-    sp = split_partition(p, np.random.default_rng(0))
-    assert sp.num_blocks >= p.num_blocks
-    # split blocks never mix nodes from different original blocks
-    for blk in range(sp.num_blocks):
-        members = np.flatnonzero(sp.assignment == blk)
-        assert len(set(p.assignment[members].tolist())) == 1
+@st.composite
+def _split_cases(draw):
+    """A small graph whose edges leave some nodes isolated, a labelling
+    over B blocks (some may be empty), a target block count and a seed."""
+    n = draw(st.integers(1, 30))
+    ids = st.integers(0, n - 1)
+    rows = draw(st.lists(st.tuples(ids, ids, st.integers(1, 3)),
+                         max_size=40))
+    B = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.integers(0, B - 1), min_size=n, max_size=n))
+    return (build_graph(rows, num_nodes=n), Partition(labels, B),
+            draw(st.integers(1, 2 * n + 2)), draw(st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_split_partition_refines(case):
+    """The one splitter, one split at a time: each split moves half (rounded
+    down) of the nodes with edges of a largest block, counted by those
+    nodes, to a new block; a node with no edge never moves. A split to
+    `target` is that chain of splits, and the same seed gives the same
+    labels."""
+    g, p, target, seed = case
+    linked = g.degree > 0
+    out = split_partition(g, p, target, np.random.default_rng(seed))
+    again = split_partition(g, p, target, np.random.default_rng(seed))
+    assert np.array_equal(out.assignment, again.assignment)
+    # the result refines the input, and nodes with no edge keep their block
+    source = {}
+    for r, s in zip(p.assignment.tolist(), out.assignment.tolist()):
+        assert source.setdefault(s, r) == r
+    assert np.array_equal(out.assignment[~linked], p.assignment[~linked])
+    # B reaches target unless every block has fewer than two nodes with edges
+    if out.num_blocks < target:
+        assert np.bincount(out.assignment[linked],
+                           minlength=out.num_blocks).max(initial=0) < 2
+    else:
+        assert out.num_blocks == max(target, p.num_blocks)
+    rng = np.random.default_rng(seed)
+    cur = p
+    while cur.num_blocks < out.num_blocks:
+        counts = np.bincount(cur.assignment[linked], minlength=cur.num_blocks)
+        nxt = split_partition(g, cur, cur.num_blocks + 1, rng)
+        moved = nxt.assignment != cur.assignment
+        assert nxt.num_blocks == cur.num_blocks + 1
+        assert np.array_equal(np.flatnonzero(moved),
+                              np.flatnonzero(nxt.assignment == cur.num_blocks))
+        from_blocks = set(cur.assignment[moved].tolist())
+        assert len(from_blocks) == 1
+        r = from_blocks.pop()
+        assert counts[r] == counts.max() and moved.sum() == counts[r] // 2
+        cur = nxt
+    assert np.array_equal(cur.assignment, out.assignment)
 
 
 # ---------------------------------------------------------------------------

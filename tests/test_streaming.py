@@ -188,3 +188,18 @@ def test_mask_selecting_one_node_is_not_scored():
                          generated_mask=[False, True, False, True])
     assert "correctness" not in session.reports[0]
     assert session.reports[1]["correctness"]["num_nodes_evaluated"] == 2
+
+
+def test_early_edge_emergence_stage_tracks_cold():
+    """Desk graph 2 (N = 500, B = 8, 7,500 edges) in 10 edge-emergence
+    stages: stage 2's warm start carries stage 1's few blocks, and its
+    headroom split must still let the search reach a cold search's H on
+    that stage's graph (within 5%, as criterion 8c asks of desk graph 0)."""
+    gen = generate(GeneratorConfig(num_nodes=500, num_blocks=8,
+                                   target_total_edges=7500,
+                                   overlap_ratio=0.05, rng_seed=2))
+    sched = emit_streaming_stages(gen, "edge-emergence", 10, rng_seed=2)
+    config = MCMCConfig(rng_seed=0)
+    session = run_stream(sched.stages[:2], config=config)
+    _, _, cold_H = golden_section_search(session.graph, config)
+    assert session.last_H <= cold_H * 1.05
