@@ -52,9 +52,8 @@ def _args_dict(args):
 
 def _engine_flags(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["sequential", "parallel", "batch"],
-                   default="sequential",
-                   help="parallel is another name for batch")
+    p.add_argument("--mode", choices=["sequential", "batch"],
+                   default="sequential")
     p.add_argument("--workers", type=int, default=1,
                    help="recorded in reports only; starts no process")
     p.add_argument("--beta", type=float, default=3.0)
@@ -67,12 +66,11 @@ def _engine_flags(p):
 
 
 def _engine_config(args):
-    mode = "batch" if args.mode == "parallel" else args.mode
     return _config(MCMCConfig, beta=args.beta, max_sweeps=args.max_sweeps,
                    convergence_threshold=args.threshold,
                    merge_reduction_rate=args.merge_rate,
                    merge_proposals_per_block=args.proposals,
-                   rng_seed=args.seed, execution_mode=mode,
+                   rng_seed=args.seed, execution_mode=args.mode,
                    workers=args.workers)
 
 

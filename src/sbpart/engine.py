@@ -704,16 +704,18 @@ def split_partition(graph, partition, target, rng):
 def golden_section_search(graph, config, initial_partition=None, trace=None):
     """Find the partition minimizing description length across block counts.
 
-    A cold search starts from one block per node, halves B via merge phases
-    until a 3-point bracket around the minimum appears, then narrows with
-    golden-section steps on integer B. Each probe warm-starts from the
-    cached partition with the closest higher block count.
-    A warm search (a given initial partition, B0 blocks) first relaxes the
-    start with one probe at B0, unless B0 = 1, and halves from there the
-    same way. It climbs above B0 by doubling (`split_partition`, then
-    MCMC) until H turns upward only when the start looks under-split: the
-    first halving step already rises, the halving reaches B = 1 without an
-    upturn, or B0 = 1. The climb then brackets (lo, peak, first rise).
+    The search walks one bracket (lo, mid, hi) from B0 blocks: one per
+    node (cold), or the given partition (warm), relaxed by one probe at B0
+    unless B0 = 1. In order, it
+    - halves B (times merge_reduction_rate, at least 1) until H rises;
+    - doubles above B0 (`split_partition`, then MCMC) until H stops
+      falling, only if a warm start looks under-split: the first halving
+      already rises, the halving reaches B = 1 without a rise, or B0 = 1;
+    - takes golden-section steps on integer B strictly inside (lo, hi);
+    - probes every B in [lo, hi];
+    - polishes the best cached partition to full convergence.
+    Each probe starts from the cached partition with the closest higher
+    block count, or splits the largest one if none is higher.
     If `trace` is a list, one dict per MCMC probe is appended to it:
     phase (relax, halve, climb, golden or polish), target, start_B, B, H
     and sweeps. It never changes the result.
@@ -767,59 +769,40 @@ def golden_section_search(graph, config, initial_partition=None, trace=None):
         cache[target] = [H, part.assignment, part.num_blocks]
         return H
 
-    # bracket phase: halve B until H turns upward
-    cur = B0
-    probes = [cur]
-    bracket = None
-    while cur > 1:
-        nxt = int(cur * config.merge_reduction_rate)
-        if nxt >= cur:
-            nxt = cur - 1
-        if nxt < 1:
-            nxt = 1
-        run_at(nxt, "halve")
-        probes.append(nxt)
-        if cache[probes[-1]][0] > cache[probes[-2]][0]:
-            hi = probes[-3] if len(probes) >= 3 else probes[-2]
-            bracket = (probes[-1], probes[-2], hi)
+    # halve B until H turns upward; the bracket is (lo, mid, hi)
+    rate = config.merge_reduction_rate
+    lo = mid = hi = B0
+    while mid > 1:
+        lo = max(1, int(mid * rate))
+        if run_at(lo, "halve") > cache[mid][0]:
             break
-        cur = nxt
+        hi, mid = mid, lo
 
-    if warm and (bracket is None or len(probes) == 2):
+    if warm and (lo == mid or mid == B0):
         # the start looks under-split: double above B0 until H turns upward
-        lo, mid, hi = (probes[1] if len(probes) > 1 else B0), B0, B0
+        lo, mid, hi = max(1, int(B0 * rate)), B0, B0
         while hi < N:
             hi = min(N, 2 * mid)
             if run_at(hi, "climb") >= cache[mid][0]:
                 break
             lo, mid = mid, hi
-        bracket = (lo, mid, hi)
 
-    if bracket is not None:
-        lo, mid, hi = bracket
+    if lo < mid:
+        # golden-section steps keep lo < mid <= hi; with hi - lo >= 3
+        # every step lands strictly inside (lo, hi) and off mid
         while hi - lo > 2:
-            if mid == hi or mid == lo:
+            if mid == hi:
                 x = (lo + hi) // 2
-            elif (hi - mid) >= (mid - lo):
+            elif hi - mid >= mid - lo:
                 x = mid + max(1, int(round((hi - mid) * (1.0 - INVPHI))))
             else:
                 x = mid - max(1, int(round((mid - lo) * (1.0 - INVPHI))))
-            x = min(max(x, lo + 1), hi - 1)
-            if x == mid:
-                x = x + 1 if (hi - mid) >= (mid - lo) else x - 1
-                if x <= lo or x >= hi:
-                    break
-            Hx = run_at(x, "golden")
-            if Hx < cache[mid][0]:
-                if x > mid:
-                    lo, mid = mid, x
-                else:
-                    hi, mid = mid, x
+            if run_at(x, "golden") < cache[mid][0]:
+                lo, mid, hi = (mid, x, hi) if x > mid else (lo, x, mid)
+            elif x > mid:
+                hi = x
             else:
-                if x > mid:
-                    hi = x
-                else:
-                    lo = x
+                lo = x
         for bb in range(lo, hi + 1):
             run_at(bb, "golden")
 

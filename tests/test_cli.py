@@ -107,20 +107,16 @@ def test_partition_modes_agree(tmp_path):
     main(["generate", "-N", "60", "-B", "3", "--edges", "300",
           "--overlap", "0.05", "--seed", "2", "-o", out])
     reports = {}
-    for mode in ("sequential", "parallel", "batch"):
+    for mode in ("sequential", "batch"):
         run = str(tmp_path / mode)
         rc = main(["partition", f"{out}.tsv", "-o", run, "--mode", mode,
                    "--truth", f"{out}_truth.tsv", "--max-sweeps", "20"])
         assert rc == 0
         reports[mode] = json.load(open(f"{run}_report.json"))
     seq = reports["sequential"]["correctness"]
-    par = reports["parallel"]["correctness"]
-    assert abs(seq["pairwise_precision"] - par["pairwise_precision"]) <= 0.05
-    assert abs(seq["pairwise_recall"] - par["pairwise_recall"]) <= 0.05
-    # --mode parallel is another name for batch, so their partitions are
-    # identical
-    assert filecmp.cmp(str(tmp_path / "parallel_partition.tsv"),
-                       str(tmp_path / "batch_partition.tsv"), shallow=False)
+    bat = reports["batch"]["correctness"]
+    assert abs(seq["pairwise_precision"] - bat["pairwise_precision"]) <= 0.05
+    assert abs(seq["pairwise_recall"] - bat["pairwise_recall"]) <= 0.05
 
 
 def test_evaluate_table1_fixture(tmp_path, capsys):
@@ -280,6 +276,8 @@ def test_exit_code_config_error(tmp_path, capsys):
              "--alpha", "nan", "-o", str(tmp_path / "g")],
             ["partition", edge_file, "-o", str(tmp_path / "x"),
              "--workers", "0"],
+            ["partition", edge_file, "-o", str(tmp_path / "x"),
+             "--mode", "parallel"],
             ["partition", edge_file, "-o", str(tmp_path / "x"),
              "--proposals", "0"],
             ["partition", edge_file, "-o", str(tmp_path / "x"),
