@@ -225,12 +225,13 @@ def _evaluate(tables, a, state, B, beta, i, s, u_accept):
 # snapshot (one-iteration-old) sweep: every node in one numpy pass
 
 # Moving nodes are evaluated in chunks of about this many neighbour-table
-# entries, which bounds the pass's temporaries.
-_CHUNK_ENTRIES = 2048
-# M is read from a dense B * B vector up to this many cells (512 KB), and by
-# binary search over its sorted cell keys above, so that memory stays
+# entries, which bounds the pass's temporaries; wide enough that numpy's
+# per-call overhead does not dominate a chunk.
+_CHUNK_ENTRIES = 8192
+# M is read from a dense B * B vector up to this many cells (2 MB, B <= 512),
+# and by binary search over its sorted cell keys above, so that memory stays
 # O(E + nnz M) at large B.
-_DENSE_CELLS = 65536
+_DENSE_CELLS = 262144
 
 
 def _xlogx(x):
@@ -553,18 +554,19 @@ def merge_candidates(cell, m, B, uniforms):
     r, s = r[keep], s[keep]
 
     # A candidate gathers the cells of row r, and of column r as row r of
-    # M^T, whose sorted cells are the transposed keys. Chunks of about
-    # _CHUNK_ENTRIES gathered cells bound the pass's temporaries.
+    # M^T, whose sorted cells are the transposed keys; both read M through
+    # one reader, M^T[s, t] as key t * B + s. Chunks of about _CHUNK_ENTRIES
+    # gathered cells bound the pass's temporaries.
+    get_m = _cell_reader(cell, m, B)
     tkey = cell % B * B + cell // B
     by_col = np.argsort(tkey)
-    sides = [(keys, w, _cell_reader(keys, w, B),
-              np.searchsorted(keys, np.arange(B + 1) * B))
-             for keys, w in ((cell, m), (tkey[by_col], m[by_col]))]
+    sides = [(keys, w, np.searchsorted(keys, np.arange(B + 1) * B), flip)
+             for keys, w, flip in ((cell, m, False),
+                                   (tkey[by_col], m[by_col], True))]
     dS = np.empty(len(r))
-    for lo, hi in _chunks(sum(ptr[r + 1] - ptr[r] for *_, ptr in sides)):
-        dS[lo:hi] = sum(_shared_cell_terms(*side, r[lo:hi], s[lo:hi], B)
+    for lo, hi in _chunks(sum(ptr[r + 1] - ptr[r] for _, _, ptr, _ in sides)):
+        dS[lo:hi] = sum(_shared_cell_terms(*side, get_m, r[lo:hi], s[lo:hi], B)
                         for side in sides)
-    _, _, get_m, _ = sides[0]   # M's own lookup
     core = np.stack([get_m(x * B + y)
                      for x, y in ((r, r), (r, s), (s, r), (s, s))])
     dS += _xlogx(core).sum(axis=0) - _xlogx(core.sum(axis=0))
@@ -573,16 +575,19 @@ def merge_candidates(cell, m, B, uniforms):
     return r, s, dS
 
 
-def _shared_cell_terms(keys, w, get, ptr, r, s, B):
+def _shared_cell_terms(keys, w, ptr, flip, get_m, r, s, B):
     """Per pair, the sum over the cells (r, t) of `keys` (sorted, with
-    weights w, lookup `get` and row starts `ptr`) of
+    weights w and row starts `ptr`) of
     x log x + y log y - (x + y) log(x + y),
-    where x = M[r, t] and y = M[s, t] (0 for t = r or s): the w log w that
+    where x and y are the cells (r, t) and (s, t) (0 for t = r or s) of M,
+    or of M^T if `flip`, read through M's lookup `get_m`: the w log w that
     rows r and s lose by summing into one."""
     pos, e = _gather(ptr[r], ptr[r + 1] - ptr[r])
     t = keys[e] % B
     x = w[e]
-    y = np.where((t == r[pos]) | (t == s[pos]), 0, get(s[pos] * B + t))
+    sp = s[pos]
+    y = np.where((t == r[pos]) | (t == sp), 0,
+                 get_m(t * B + sp if flip else sp * B + t))
     terms = _xlogx(x) + _xlogx(y) - _xlogx(x + y)
     return np.bincount(pos, weights=terms, minlength=len(r))
 

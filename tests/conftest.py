@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from sbpart import engine
 from sbpart.graph import Partition, build_graph
+
+# Block counts on both sides of the dense M read, whatever `_DENSE_CELLS`
+# is: the largest B read densely, the next one and one further above.
+_K = math.isqrt(engine._DENSE_CELLS)
+DENSE_STRADDLE = (_K, _K + 1, _K + _K // 6)
 
 
 def random_graph(rng, max_nodes=50, min_nodes=5, density=3):

@@ -10,8 +10,9 @@ from scipy.stats import chisquare
 from sbpart import engine
 from sbpart.engine import (MCMCConfig, description_length,
                            golden_section_search, mcmc_sweep, merge_blocks,
-                           merge_delta_S, run_mcmc, snapshot_proposals,
-                           split_partition, warm_start, _sweep_uniforms)
+                           merge_candidates, merge_delta_S, run_mcmc,
+                           snapshot_proposals, split_partition, warm_start,
+                           _sweep_uniforms)
 from sbpart.generator import GeneratorConfig, generate
 from sbpart.graph import (BlockModelState, NodeTables, Partition, apply_move,
                           block_cells, build_graph, node_block_edge_counts,
@@ -370,6 +371,44 @@ def test_snapshot_equals_batch_outcomes():
         assert res["accept"][i] == accepted[k]
         assert res["delta_S"][i] == pytest.approx(dS[k], rel=1e-9, abs=1e-12)
         assert res["p_accept"][i] == pytest.approx(p_accept[k], rel=1e-9)
+
+
+@pytest.mark.parametrize("B", [40, 600])   # M read densely, by search
+@pytest.mark.parametrize("entries", [1, 7])
+def test_chunk_bounds_change_nothing(monkeypatch, B, entries):
+    """The snapshot and merge passes return the same arrays, bit for bit,
+    whatever `_CHUNK_ENTRIES` is: each spans several chunks at the default
+    and hundreds at 1 or 7 entries."""
+    rng = np.random.default_rng(B)
+    n = 1500
+    g = build_graph(list(zip(*rng.integers(0, n, (2, 12_000)).tolist(),
+                             rng.integers(1, 4, 12_000).tolist())),
+                    num_nodes=n)
+    b = rng.integers(0, B, n)
+    cells = block_cells(g, b, B)
+    U = _sweep_uniforms(7, 0, n)
+    V = rng.random((B, 10, 3))
+    chunks = engine._chunks
+
+    def run():
+        spans = []
+
+        def counted(size):
+            bounds = list(chunks(size))
+            spans.append(len(bounds))
+            return bounds
+        monkeypatch.setattr(engine, "_chunks", counted)
+        out = (*snapshot_proposals(g, b, B, cells, 3.0, U),
+               *merge_candidates(*cells, B, V))
+        return out, spans
+
+    want, spans = run()
+    assert len(spans) == 2 and min(spans) >= 3
+    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", entries)
+    got, spans = run()
+    assert min(spans) >= 300
+    for x, y in zip(want, got):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from sbpart.engine import MCMCConfig, description_length, merge_blocks, \
 from sbpart.graph import Partition, block_cells, build_graph, \
     recompute_block_matrix
 
+from conftest import DENSE_STRADDLE
 import engine_reference as ref
 
 
@@ -18,12 +19,13 @@ import engine_reference as ref
 def _cases(draw):
     """A small graph with self-loops and isolated nodes, and a labelling
     over B blocks, some of them without edges or without nodes (B * B up
-    to 65,536 reads M densely, above it by search)."""
+    to `_DENSE_CELLS` reads M densely, above it by search; `DENSE_STRADDLE`
+    sits on both sides)."""
     n = draw(st.integers(1, 24))
     ids = st.integers(0, n - 1)
     rows = draw(st.lists(st.tuples(ids, ids, st.integers(1, 5)),
                          max_size=60))
-    B = draw(st.sampled_from([1, 2, 3, 7, 256, 257, 300]))
+    B = draw(st.sampled_from([1, 2, 3, 7, *DENSE_STRADDLE]))
     labels = draw(st.lists(st.integers(0, B - 1), min_size=n, max_size=n))
     return build_graph(rows, num_nodes=n), Partition(labels, B)
 

@@ -10,19 +10,21 @@ from sbpart.engine import (MCMCConfig, description_length, mcmc_sweep,
 from sbpart.graph import (Partition, block_cells, build_graph,
                           recompute_block_matrix)
 
+from conftest import DENSE_STRADDLE
 from engine_reference import snapshot_outcomes
 
 
 @st.composite
 def _cases(draw):
     """A small graph with self-loops and isolated nodes, a labelling over B
-    blocks (B * B up to 65,536 is read densely, above it by search), a
-    sweep seed and an inverse temperature (1000 overflows exp)."""
+    blocks (B * B up to `_DENSE_CELLS` is read densely, above it by search;
+    `DENSE_STRADDLE` sits on both sides), a sweep seed and an inverse
+    temperature (1000 overflows exp)."""
     n = draw(st.integers(1, 24))
     ids = st.integers(0, n - 1)
     rows = draw(st.lists(st.tuples(ids, ids, st.integers(1, 5)),
                          max_size=60))
-    B = draw(st.sampled_from([1, 2, 3, 7, 256, 257, 300]))
+    B = draw(st.sampled_from([1, 2, 3, 7, *DENSE_STRADDLE]))
     labels = draw(st.lists(st.integers(0, B - 1), min_size=n, max_size=n))
     seed = draw(st.integers(0, 2**32 - 1))
     beta = draw(st.sampled_from([0.5, 3.0, 1000.0]))
