@@ -51,17 +51,20 @@ def _args_dict(args):
 
 
 def _engine_flags(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MCMCConfig.rng_seed)
     p.add_argument("--mode", choices=["sequential", "batch"],
-                   default="sequential")
-    p.add_argument("--workers", type=int, default=1,
+                   default=MCMCConfig.execution_mode)
+    p.add_argument("--workers", type=int, default=MCMCConfig.workers,
                    help="recorded in reports only; starts no process")
-    p.add_argument("--beta", type=float, default=3.0)
-    p.add_argument("--max-sweeps", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=1e-4,
+    p.add_argument("--beta", type=float, default=MCMCConfig.beta)
+    p.add_argument("--max-sweeps", type=int, default=MCMCConfig.max_sweeps)
+    p.add_argument("--threshold", type=float,
+                   default=MCMCConfig.convergence_threshold,
                    help="relative convergence threshold on H")
-    p.add_argument("--merge-rate", type=float, default=0.5)
-    p.add_argument("--proposals", type=int, default=10,
+    p.add_argument("--merge-rate", type=float,
+                   default=MCMCConfig.merge_reduction_rate)
+    p.add_argument("--proposals", type=int,
+                   default=MCMCConfig.merge_proposals_per_block,
                    help="merge proposals per block")
 
 
@@ -249,16 +252,19 @@ def build_parser():
     g.add_argument("-B", "--num-blocks", type=int, required=True)
     g.add_argument("--edges", type=int, required=True,
                    help="target total edge count E*")
-    g.add_argument("--overlap", type=float, default=0.1,
+    g.add_argument("--overlap", type=float,
+                   default=GeneratorConfig.overlap_ratio,
                    help="expected between-block edge share")
-    g.add_argument("--exponent", type=float, default=-2.5)
-    g.add_argument("--alpha", type=float, default=10.0,
+    g.add_argument("--exponent", type=float,
+                   default=GeneratorConfig.powerlaw_exponent)
+    g.add_argument("--alpha", type=float,
+                   default=GeneratorConfig.block_size_concentration,
                    help="Dirichlet concentration for block sizes")
     g.add_argument("--uniform-degrees", action="store_true")
     g.add_argument("--stages", type=_count, default=1)
     g.add_argument("--stream-mode", choices=["edge-emergence", "snowball"],
                    default="edge-emergence")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=GeneratorConfig.rng_seed)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_generate)
 

@@ -123,10 +123,7 @@ def _cells_length(graph, B, cells):
     if E == 0:
         return N * math.log(B) if B > 1 else 0.0
     cell, m = cells
-    # each degree vector ends at its last nonzero block: the float sum's
-    # grouping, and so its last bits, depend on the vector's length
-    d_out, d_in = (x[:np.flatnonzero(x)[-1] + 1]
-                   for x in block_degrees(cell, m, B))
+    d_out, d_in = block_degrees(cell, m, B)
     S = _xlogx(m).sum() - _xlogx(d_out).sum() - _xlogx(d_in).sum()
     return E * _h(B * B / E) + N * math.log(B) - float(S)
 
@@ -592,27 +589,20 @@ def _shared_cell_terms(keys, w, ptr, flip, get_m, r, s, B):
     return np.bincount(pos, weights=terms, minlength=len(r))
 
 
-def _best_merges(cell, m, B, proposals, rng):
-    """(delta_S, r, s) of the lowest (delta_S, s) among each block r's
-    `proposals` candidates, over the blocks with a candidate."""
-    r, s, dS = merge_candidates(cell, m, B, rng.random((B, proposals, 3)))
-    order = np.lexsort((s, dS, r))
-    best = order[np.flatnonzero(np.diff(r[order], prepend=-1))]
-    return list(zip(dS[best].tolist(), r[best].tolist(), s[best].tolist()))
-
-
 def merge_blocks(graph, partition, target_B, config, rng):
     """Greedily merge blocks down to target_B and relabel to [0, target_B).
 
-    Every block's candidates are drawn from the Generator `rng` and scored
-    in one numpy pass (`merge_candidates`), and each block's best enters a
-    heap. The merges are applied one at a time, cheapest first; a popped
+    Each round groups the blocks merged so far, counts their M once,
+    draws every group's candidates from the Generator `rng` and scores
+    them in one numpy pass (`merge_candidates`), and each group's best
+    enters a heap; a round that draws no candidate gives every group its
+    cheapest partner, scored on the state, instead. The first round runs
+    on the blocks themselves, and a new round runs whenever the heap runs
+    dry. The merges are applied one at a time, cheapest first; a popped
     candidate is re-scored against the live state first, and goes back on
     the heap if earlier merges made it dearer than the next one, and a
     merge commits r into s as one node (`apply_move` of
-    `block_edge_counts`). When the heap runs dry, the pass runs again on
-    the current groups; if it draws no candidate, every group's cheapest
-    partner is scored on the state instead. Returns the merged partition.
+    `block_edge_counts`). Returns the merged partition.
     """
     if target_B < 1:
         raise ValueError("target_B must be at least 1")
@@ -622,12 +612,11 @@ def merge_blocks(graph, partition, target_B, config, rng):
         raise ValueError(f"target_B={target_B} exceeds current B={B}")
     if target_B == B:
         return partition
-    cell, m = block_cells(graph, partition.assignment, B)
-    state = BlockModelState.from_cells(B, cell, m)
+    cells = block_cells(graph, partition.assignment, B)
+    state = BlockModelState.from_cells(B, *cells)
 
     P = config.merge_proposals_per_block
-    heap = _best_merges(cell, m, B, P, rng)
-    heapq.heapify(heap)
+    heap = []
     parent = list(range(B))
 
     def find(x):
@@ -642,10 +631,16 @@ def merge_blocks(graph, partition, target_B, config, rng):
         if not heap:
             roots, group = np.unique([find(x) for x in range(B)],
                                      return_inverse=True)
-            cell, m = block_cells(graph, group[partition.assignment],
-                                  len(roots))
-            heap = [(dS, int(roots[r]), int(roots[s])) for dS, r, s
-                    in _best_merges(cell, m, len(roots), P, rng)]
+            k = len(roots)
+            if cells is None:  # the first round reuses the state's count
+                cells = block_cells(graph, group[partition.assignment], k)
+            r, s, dS = merge_candidates(*cells, k, rng.random((k, P, 3)))
+            cells = None
+            # each group's lowest (delta_S, s)
+            order = np.lexsort((s, dS, r))
+            best = order[np.flatnonzero(np.diff(r[order], prepend=-1))]
+            heap = list(zip(dS[best].tolist(), roots[r[best]].tolist(),
+                            roots[s[best]].tolist()))
             if not heap:
                 # no draw reaches another group: give each its cheapest
                 # partner, scored on the state

@@ -143,8 +143,6 @@ def generate_edges(config, truth, theta):
     rng = np.random.default_rng([config.rng_seed, 2])
     omega = resolve_interaction_matrix(config, truth)
     B = config.num_blocks
-    if omega.shape != (B, B):
-        raise ValueError("interaction matrix shape must be B x B")
     members = [np.flatnonzero(truth.assignment == r) for r in range(B)]
     probs = [theta[m] for m in members]
     pairs = [np.empty((0, 2), dtype=np.int64)]

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from sbpart.cli import main
+from sbpart.cli import _engine_config, build_parser, main
+from sbpart.engine import MCMCConfig
+from sbpart.generator import GeneratorConfig
 from sbpart.graph import build_graph
 from sbpart.io import read_assignment_tsv, read_edge_tsv
 
@@ -458,3 +460,19 @@ def test_manifest_reproduces_run(tmp_path):
     assert main(rerun) == 0
     assert filecmp.cmp(f"{out}.tsv", f"{out2}.tsv", shallow=False)
     assert filecmp.cmp(f"{out}_truth.tsv", f"{out2}_truth.tsv", shallow=False)
+
+
+def test_parsed_defaults_are_config_defaults():
+    """Every flag left unset takes its config class's default."""
+    parser = build_parser()
+    for argv in (["partition", "g.tsv", "-o", "out"],
+                 ["stream", "g", "--stages", "2"],
+                 ["bench", "--sizes", "1000"]):
+        assert _engine_config(parser.parse_args(argv)) == MCMCConfig()
+    args = parser.parse_args(["generate", "-N", "10", "-B", "2",
+                              "--edges", "50", "-o", "out"])
+    want = GeneratorConfig(num_nodes=10, num_blocks=2, target_total_edges=50)
+    assert (args.overlap, args.exponent, args.alpha, args.uniform_degrees,
+            args.seed) == (want.overlap_ratio, want.powerlaw_exponent,
+                           want.block_size_concentration,
+                           want.uniform_degrees, want.rng_seed)

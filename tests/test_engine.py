@@ -491,9 +491,9 @@ def test_merge_refill_uses_current_groups(monkeypatch):
 
 def test_merge_round_without_candidates(monkeypatch):
     """Two blocks joined only to themselves: every proposal draws its own
-    block, so no round has a candidate. merge_blocks refills the empty
-    heap from one new round; when that draws nothing too, it scores the
-    pair on the state and merges."""
+    block, so the first round has no candidate. A round which draws
+    nothing falls back at once: it scores the pair on the state and
+    merges, with no second round."""
     g = build_graph([(0, 0, 10**6), (1, 1, 10**6)])
     rounds = []
     original = engine.merge_candidates
@@ -506,7 +506,26 @@ def test_merge_round_without_candidates(monkeypatch):
     merged = merge_blocks(g, Partition([0, 1]), 1, MCMCConfig(),
                           np.random.default_rng(0))
     assert merged.num_blocks == 1
-    assert rounds == [0, 0]
+    assert rounds == [0]
+
+
+def test_merge_round_counts_m_once(monkeypatch):
+    """Two 10-cliques split into two blocks each, merged down to two: one
+    round's heap holds both merges, and that round counts M with
+    `block_cells` once, the count that also builds the dict state, and
+    scores its candidates with one `merge_candidates` pass."""
+    g = build_graph(directed_clique(10) + directed_clique(10, offset=10))
+    p = Partition(np.arange(20) // 5)
+    calls = []
+    for name in ("block_cells", "merge_candidates"):
+        def counted(*args, _name=name, _original=getattr(engine, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(engine, name, counted)
+    merged = merge_blocks(g, p, 2, MCMCConfig(), np.random.default_rng(0))
+    a = merged.assignment
+    assert len(set(a[:10].tolist())) == 1 and len(set(a[10:].tolist())) == 1
+    assert sorted(calls) == ["block_cells", "merge_candidates"]
 
 
 @pytest.mark.parametrize("mode", ["sequential", "batch"])
