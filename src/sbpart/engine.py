@@ -16,17 +16,18 @@ closed form, summed in one term order:
 3. the degrees d_out[r], d_out[s], d_in[r], d_in[s].
 
 A cell adds x log x before the move minus after it, a degree after minus
-before, so the per-node kernel (`_evaluate`) and the numpy snapshot pass
-(`_score_moves`) give the same dS bit for bit, unless a cell or degree is
-an integer whose `np.log` and `math.log` differ in the last bit (8 below
-200,000 on one x86-64 build, the first 9170). The batch sweep counts each
-labelling once: its `block_cells` give both H and the next pass's M. The
-sequential sweep counts none: it reads the graph's cached `NodeTables`,
-edits M in place, and sums its H from the accepted moves' dS, so a probe
-(`run_mcmc`) counts M at its start and once more at its end. The engine
-writes no cell of the dict state itself: accepted nodal moves and block
-merges (a block moved as one node) both commit through `graph.apply_move`.
-All logarithms are natural.
+before. Both kernels read x log x from the graph's one table of 0..E: the
+per-node kernel (`_evaluate`) indexes its list (`Graph.xlogx_list`) and
+the numpy snapshot pass (`_score_moves`) gathers from its array
+(`Graph.xlogx`); above `graph._TABLE_ENTRIES` both compute it with one
+np.log expression. So they give the same dS bit for bit. The batch sweep
+counts each labelling once: its `block_cells` give both H and the next
+pass's M. The sequential sweep counts none: it reads the graph's cached
+`NodeTables`, edits M in place, and sums its H from the accepted moves'
+dS, so a probe (`run_mcmc`) counts M at its start and once more at its
+end. The engine writes no cell of the dict state itself: accepted nodal
+moves and block merges (a block moved as one node) both commit through
+`graph.apply_move`. All logarithms are natural.
 
 A proposal from block u draws block t with probability
 (M + M^T)[u, t] / d_u, from the running weights of a fixed walk over row
@@ -124,7 +125,8 @@ def _cells_length(graph, B, cells):
         return N * math.log(B) if B > 1 else 0.0
     cell, m = cells
     d_out, d_in = block_degrees(cell, m, B)
-    S = _xlogx(m).sum() - _xlogx(d_out).sum() - _xlogx(d_in).sum()
+    xlogx = graph.xlogx
+    S = xlogx(m).sum() - xlogx(d_out).sum() - xlogx(d_in).sum()
     return E * _h(B * B / E) + N * math.log(B) - float(S)
 
 
@@ -231,11 +233,6 @@ _CHUNK_ENTRIES = 8192
 _DENSE_CELLS = 262144
 
 
-def _xlogx(x):
-    x = x.astype(np.float64)
-    return x * np.log(np.where(x > 0, x, 1.0))
-
-
 def _chunks(size):
     """(lo, hi) bounds of consecutive items holding about _CHUNK_ENTRIES of
     the entries that `size` counts per item."""
@@ -253,9 +250,11 @@ def _gather(start, size):
 
 
 def _cell_reader(cell, m, B):
-    """M at an array of cell keys r * B + s, given M's sorted nonzero cells
-    (`block_cells`): read from a dense vector up to _DENSE_CELLS cells, by
-    binary search over the keys above (0 where a key is absent)."""
+    """M at a 1-D array of cell keys r * B + s, given M's sorted nonzero
+    cells (`block_cells`): read from a dense vector up to _DENSE_CELLS
+    cells, by binary search over the keys above (0 where a key is absent).
+    The search takes the keys in sorted order, which walks M's keys once,
+    and scatters the cells back."""
     if B * B <= _DENSE_CELLS:
         dense = np.zeros(B * B, dtype=np.int64)
         dense[cell] = m
@@ -264,8 +263,12 @@ def _cell_reader(cell, m, B):
         return np.zeros_like
 
     def get(q):
-        pos = np.minimum(np.searchsorted(cell, q), len(cell) - 1)
-        return np.where(cell[pos] == q, m[pos], 0)
+        order, _ = runs(q)
+        k = q[order]
+        pos = np.minimum(np.searchsorted(cell, k), len(cell) - 1)
+        out = np.empty(len(q), dtype=m.dtype)
+        out[order] = np.where(cell[pos] == k, m[pos], 0)
+        return out
     return get
 
 
@@ -361,11 +364,12 @@ def _score_moves(graph, b, B, nodes, r, s, size, get_m, d_out, d_in, d):
     m_rt, m_st, m_tr, m_ts = before
 
     # per node: its weights to and from r and s, its self-loop w, its out-
-    # and in-degree, and core_change's 2 x 2 core from them
-    to_r, from_r, to_s, from_s, k_out, k_in = np.stack([
+    # and in-weight, and core_change's 2 x 2 core from them
+    to_r, from_r, to_s, from_s = np.stack([
         np.bincount(gp, weights=x, minlength=n) for x in (
-            k_to * at_r, k_from * at_r, k_to * at_s, k_from * at_s, k_to,
-            k_from)]).astype(np.int64)
+            k_to * at_r, k_from * at_r, k_to * at_s, k_from * at_s)
+    ]).astype(np.int64)
+    k_out, k_in = (x[nodes] for x in graph.node_weights)
     w = np.zeros(n, dtype=np.int64)
     loop = np.flatnonzero(j == nodes[pos])
     w[pos[loop]] = wo[loop]
@@ -381,8 +385,9 @@ def _score_moves(graph, b, B, nodes, r, s, size, get_m, d_out, d_in, d):
         (-k_to, k_to, -k_from, k_from))[other].ravel(), core.ravel()))
     deg = np.column_stack((d_out[r], d_out[s], d_in[r], d_in[s])).ravel()
     dk = np.column_stack((-k_out, k_out, -k_in, k_in)).ravel()
-    terms = np.concatenate((_xlogx(cell) - _xlogx(cell + change),
-                            _xlogx(deg + dk) - _xlogx(deg)))
+    xlogx = graph.xlogx
+    terms = np.concatenate((xlogx(cell) - xlogx(cell + change),
+                            xlogx(deg + dk) - xlogx(deg)))
     dS = np.bincount(np.concatenate((np.repeat(gp[other], 4),
                                      np.tile(np.repeat(np.arange(n), 4), 2))),
                      weights=terms, minlength=n)
@@ -472,7 +477,8 @@ def run_mcmc(graph, partition, config, sweep_base=0, sweep_cap=None):
     B = partition.num_blocks
     cells = block_cells(graph, partition.assignment, B)
     H = _cells_length(graph, B, cells)
-    state = BlockModelState.from_cells(B, *cells) if sequential else cells
+    state = BlockModelState.from_cells(graph, B, *cells) if sequential \
+        else cells
     window = deque(maxlen=CONVERGENCE_WINDOW)
     sweeps = 0
     for t in range(cap):
@@ -523,9 +529,10 @@ def merge_delta_S(state, r, s):
     return dS + xlogx[dor + dos] + xlogx[dir_ + dis]
 
 
-def merge_candidates(cell, m, B, uniforms):
+def merge_candidates(cell, m, B, uniforms, xlogx):
     """Draw and score merge candidates for all B blocks in one numpy pass,
-    given M's sorted nonzero cells (`block_cells`).
+    given M's sorted nonzero cells (`block_cells`) and the graph's x log x
+    gather (`Graph.xlogx`).
 
     uniforms has shape (B, P, 3): uniforms[r, p] draws block r's p-th
     candidate s with the nodal proposal rule on the block graph. With
@@ -562,17 +569,17 @@ def merge_candidates(cell, m, B, uniforms):
                                    (tkey[by_col], m[by_col], True))]
     dS = np.empty(len(r))
     for lo, hi in _chunks(sum(ptr[r + 1] - ptr[r] for _, _, ptr, _ in sides)):
-        dS[lo:hi] = sum(_shared_cell_terms(*side, get_m, r[lo:hi], s[lo:hi], B)
-                        for side in sides)
+        dS[lo:hi] = sum(_shared_cell_terms(*side, get_m, xlogx, r[lo:hi],
+                                           s[lo:hi], B) for side in sides)
     core = np.stack([get_m(x * B + y)
                      for x, y in ((r, r), (r, s), (s, r), (s, s))])
-    dS += _xlogx(core).sum(axis=0) - _xlogx(core.sum(axis=0))
+    dS += xlogx(core).sum(axis=0) - xlogx(core.sum(axis=0))
     for dx in (d_out, d_in):
-        dS += _xlogx(dx[r] + dx[s]) - _xlogx(dx[r]) - _xlogx(dx[s])
+        dS += xlogx(dx[r] + dx[s]) - xlogx(dx[r]) - xlogx(dx[s])
     return r, s, dS
 
 
-def _shared_cell_terms(keys, w, ptr, flip, get_m, r, s, B):
+def _shared_cell_terms(keys, w, ptr, flip, get_m, xlogx, r, s, B):
     """Per pair, the sum over the cells (r, t) of `keys` (sorted, with
     weights w and row starts `ptr`) of
     x log x + y log y - (x + y) log(x + y),
@@ -585,7 +592,7 @@ def _shared_cell_terms(keys, w, ptr, flip, get_m, r, s, B):
     sp = s[pos]
     y = np.where((t == r[pos]) | (t == sp), 0,
                  get_m(t * B + sp if flip else sp * B + t))
-    terms = _xlogx(x) + _xlogx(y) - _xlogx(x + y)
+    terms = xlogx(x) + xlogx(y) - xlogx(x + y)
     return np.bincount(pos, weights=terms, minlength=len(r))
 
 
@@ -613,7 +620,7 @@ def merge_blocks(graph, partition, target_B, config, rng):
     if target_B == B:
         return partition
     cells = block_cells(graph, partition.assignment, B)
-    state = BlockModelState.from_cells(B, *cells)
+    state = BlockModelState.from_cells(graph, B, *cells)
 
     P = config.merge_proposals_per_block
     heap = []
@@ -634,7 +641,8 @@ def merge_blocks(graph, partition, target_B, config, rng):
             k = len(roots)
             if cells is None:  # the first round reuses the state's count
                 cells = block_cells(graph, group[partition.assignment], k)
-            r, s, dS = merge_candidates(*cells, k, rng.random((k, P, 3)))
+            r, s, dS = merge_candidates(*cells, k, rng.random((k, P, 3)),
+                                        graph.xlogx)
             cells = None
             # each group's lowest (delta_S, s)
             order = np.lexsort((s, dS, r))

@@ -14,16 +14,46 @@ state: a merge of block r into s is the move of r as one node
 (`block_edge_counts`), whose edge weights are row and column r of M and
 whose self-loop is M[r, r].
 
-A Graph never changes once built, so the Python lists that the exact sweep
-reads one node at a time (`NodeTables`) are built once per graph, on first
-use of `Graph.tables`, in the graph's row order, and shared by every probe.
+A Graph never changes once built, so what the kernels read of it is built
+once per graph, on first use, and shared by every probe: the Python lists
+that the exact sweep reads one node at a time (`NodeTables`, in the graph's
+row order), the edge arrays that every count of M reads, each node's out-
+and in-weight, and x log x of the ints 0..E (E, the total edge weight,
+bounds every cell, degree and merged sum of M), as an array that the numpy
+passes gather from and as its list for the Python kernels. So both kernels
+read the same bits for every int.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# x log x is tabled for graphs of total edge weight E below this many
+# entries (at most a 16 MB array and its 64 MB list); above it both kernels
+# compute it with `_xlogx`'s one np.log expression.
+_TABLE_ENTRIES = 1 << 21
+
+
+def _xlogx(x):
+    """x log x of an int array (0.0 at 0), as float64."""
+    x = x.astype(np.float64)
+    return x * np.log(np.where(x > 0, x, 1.0))
+
+
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class _XLogX(dict):
+    """x log x of each int read so far, computed on first read with
+    `_xlogx`: the Python kernels' x log x above _TABLE_ENTRIES."""
+
+    def __missing__(self, x):
+        v = self[x] = _xlogx(np.array([x])).item()
+        return v
 
 
 class Graph:
@@ -40,7 +70,8 @@ class Graph:
     """
 
     __slots__ = ("num_nodes", "ptr", "nbr", "w_out", "w_in", "cumw",
-                 "degree", "total_edge_weight", "_tables")
+                 "degree", "total_edge_weight", "_tables", "_edges",
+                 "_weights", "_xlogx_pair")
 
     def __init__(self, num_nodes, ptr, nbr, w_out, w_in):
         self.num_nodes = num_nodes
@@ -48,7 +79,7 @@ class Graph:
         self.cumw = np.concatenate(([0], np.cumsum(w_out + w_in)))
         self.degree = self.cumw[ptr[1:]] - self.cumw[ptr[:-1]]
         self.total_edge_weight = int(w_out.sum())
-        self._tables = None
+        self._tables = self._edges = self._weights = self._xlogx_pair = None
 
     @property
     def tables(self):
@@ -57,6 +88,49 @@ class Graph:
             self._tables = NodeTables(self)
         return self._tables
 
+    @property
+    def edge_arrays(self):
+        """Source, target and weight arrays (read-only), sorted by (source,
+        target); built on first use."""
+        if self._edges is None:
+            out = self.w_out > 0
+            src = np.repeat(np.arange(self.num_nodes), np.diff(self.ptr))
+            self._edges = _readonly(src[out], self.nbr[out], self.w_out[out])
+        return self._edges
+
+    @property
+    def node_weights(self):
+        """Each node's out- and in-weight (read-only int64 arrays; a
+        self-loop counts in both); built on first use."""
+        if self._weights is None:
+            cum = [np.concatenate(([0], np.cumsum(w)))[self.ptr]
+                   for w in (self.w_out, self.w_in)]
+            self._weights = _readonly(*(np.diff(c) for c in cum))
+        return self._weights
+
+    def xlogx(self, x):
+        """x log x of an int array whose entries lie in [0, E]: gathered from
+        the graph's table of 0..E, or computed by `_xlogx` above
+        _TABLE_ENTRIES entries."""
+        return self._xlogx_tables()[0](x)
+
+    @property
+    def xlogx_list(self):
+        """x log x of the ints 0..E for the Python kernels, indexed by int:
+        the table as a list, or above _TABLE_ENTRIES entries a memo filled
+        on first read. Either holds the bits that `xlogx` gives."""
+        return self._xlogx_tables()[1]
+
+    def _xlogx_tables(self):
+        if self._xlogx_pair is None:
+            E = self.total_edge_weight
+            if E < _TABLE_ENTRIES:
+                table, = _readonly(_xlogx(np.arange(E + 1)))
+                self._xlogx_pair = (table.take, table.tolist())
+            else:
+                self._xlogx_pair = (_xlogx, _XLogX())
+        return self._xlogx_pair
+
     def neighbors(self, i):
         """(j, weight of i -> j, weight of j -> i) per neighbour j of i, in
         table order."""
@@ -64,15 +138,9 @@ class Graph:
         return zip(self.nbr[lo:hi].tolist(), self.w_out[lo:hi].tolist(),
                    self.w_in[lo:hi].tolist())
 
-    def _edge_arrays(self):
-        """Source, target and weight arrays, sorted by (source, target)."""
-        out = self.w_out > 0
-        src = np.repeat(np.arange(self.num_nodes), np.diff(self.ptr))
-        return src[out], self.nbr[out], self.w_out[out]
-
     def edge_list(self):
         """(source, target, weight) per edge, sorted by (source, target)."""
-        return list(zip(*(a.tolist() for a in self._edge_arrays())))
+        return list(zip(*(a.tolist() for a in self.edge_arrays)))
 
     def draw_neighbors(self, nodes, u):
         """A neighbour of each node of the array `nodes` (each must have an
@@ -162,20 +230,14 @@ class Partition:
         return Partition(np.arange(num_nodes, dtype=np.int64), num_nodes)
 
 
-class _XLogX(dict):
-    def __missing__(self, x):
-        v = self[x] = x * math.log(x)
-        return v
-
-
 class BlockModelState:
     """Inter-block edge-count matrix M with block degree vectors (lists,
     read one block at a time).
 
     rows[r][s] == cols[s][r] == total weight of edges from block r to s.
-    xlogx[x] is x * log(x) for an int x >= 0 (0.0 at 0), filled on first
-    use: the one x log x that the exact kernels read, holding only the
-    cells and degrees they meet.
+    xlogx[x] is x * log(x) for an int x in [0, E] (0.0 at 0): the graph's
+    `xlogx_list`, the one x log x that the exact kernels read, with the
+    bits that the numpy passes gather.
     ids[t] is one int object per block id. Python shares no int objects
     above 256, so the dict keys that `from_cells` writes and the labels
     that the sweep reads are all taken from ids: a lookup then matches its
@@ -184,20 +246,20 @@ class BlockModelState:
 
     __slots__ = ("rows", "cols", "d_out", "d_in", "d", "xlogx", "ids")
 
-    def __init__(self, rows, cols, d_out, d_in, ids):
+    def __init__(self, rows, cols, d_out, d_in, ids, xlogx):
         self.rows = rows
         self.cols = cols
         self.d_out = d_out
         self.d_in = d_in
         self.d = [o + i for o, i in zip(d_out, d_in)]
-        self.xlogx = _XLogX({0: 0.0})
+        self.xlogx = xlogx
         self.ids = ids
 
     @classmethod
-    def from_cells(cls, B, cell, m):
-        """The state over B blocks of the cells that `block_cells` returns,
-        filled in key order: each row and each column lists its blocks by
-        id."""
+    def from_cells(cls, graph, B, cell, m):
+        """The state over B blocks of the cells that `block_cells` returns
+        for `graph`, filled in key order: each row and each column lists its
+        blocks by id."""
         ids = np.arange(B).astype(object)
         rows = [dict() for _ in range(B)]
         cols = [dict() for _ in range(B)]
@@ -205,7 +267,8 @@ class BlockModelState:
                              m.tolist()):
             rows[t1][t2] = cols[t2][t1] = x
         d_out, d_in = block_degrees(cell, m, B)
-        return cls(rows, cols, d_out.tolist(), d_in.tolist(), ids.tolist())
+        return cls(rows, cols, d_out.tolist(), d_in.tolist(), ids.tolist(),
+                   graph.xlogx_list)
 
 
 @dataclass
@@ -311,7 +374,7 @@ def block_cells(graph, assignment, B):
     weights."""
     if len(assignment) != graph.num_nodes:
         raise ValueError("partition length does not match graph")
-    src, dst, w = graph._edge_arrays()
+    src, dst, w = graph.edge_arrays
     key = assignment[src] * B + assignment[dst]
     order, start = runs(key)
     return key[order[start]], np.add.reduceat(w[order], start)
@@ -329,7 +392,7 @@ def recompute_block_matrix(graph, partition):
     dict state."""
     B = partition.num_blocks
     return BlockModelState.from_cells(
-        B, *block_cells(graph, partition.assignment, B))
+        graph, B, *block_cells(graph, partition.assignment, B))
 
 
 def core_change(counts, r, s):

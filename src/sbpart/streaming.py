@@ -51,7 +51,7 @@ def ingest_stage(session, batch, stage=None):
                          f"{session.stage_index + 1}")
     rows = edge_rows(batch)
     if session.graph is not None:
-        rows = np.vstack((np.column_stack(session.graph._edge_arrays()), rows))
+        rows = np.vstack((np.column_stack(session.graph.edge_arrays), rows))
     graph = build_graph(rows)
     for name, labels in (("truth", session.truth),
                          ("generated mask", session.generated_mask)):

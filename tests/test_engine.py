@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from sbpart import engine
+from sbpart import graph as graph_module
 from sbpart.engine import (MCMCConfig, description_length,
                            golden_section_search, mcmc_sweep, merge_blocks,
                            merge_candidates, merge_delta_S, run_mcmc,
@@ -163,10 +164,10 @@ def test_propose_block_distribution_chain():
 def test_hastings_symmetric_state():
     # M = [[2,1],[1,2]] is symmetric under swapping the blocks, so for a node
     # with one edge into each block the forward and backward sums coincide
+    g = build_graph([(0, 1, 1), (2, 0, 1)], num_nodes=3)
     state = BlockModelState([{0: 2, 1: 1}, {0: 1, 1: 2}],
                             [{0: 2, 1: 1}, {0: 1, 1: 2}],
-                            [3, 3], [3, 3], [0, 1])
-    g = build_graph([(0, 1, 1), (2, 0, 1)], num_nodes=3)
+                            [3, 3], [3, 3], [0, 1], g.xlogx_list)
     counts = node_block_edge_counts(NodeTables(g), [1, 0, 1], 0)
     assert counts.combined == {0: 1, 1: 1}
     pf, pb = hastings_correction(0, counts, state, state, 0, 1, 2)
@@ -176,8 +177,9 @@ def test_hastings_symmetric_state():
 
 
 def test_hastings_empty_counts():
-    state = BlockModelState([{}, {}], [{}, {}], [0, 0], [0, 0], [0, 1])
     g = build_graph([(0, 1, 1)], num_nodes=3)
+    state = BlockModelState([{}, {}], [{}, {}], [0, 0], [0, 0], [0, 1],
+                            g.xlogx_list)
     counts = node_block_edge_counts(NodeTables(g), [0, 0, 1], 2)
     pf, pb = hastings_correction(2, counts, state, state, 1, 0, 2)
     assert pf == 0.0 and pb == 0.0
@@ -399,7 +401,7 @@ def test_chunk_bounds_change_nothing(monkeypatch, B, entries):
             return bounds
         monkeypatch.setattr(engine, "_chunks", counted)
         out = (*snapshot_proposals(g, b, B, cells, 3.0, U),
-               *merge_candidates(*cells, B, V))
+               *merge_candidates(*cells, B, V, g.xlogx))
         return out, spans
 
     want, spans = run()
@@ -409,6 +411,54 @@ def test_chunk_bounds_change_nothing(monkeypatch, B, entries):
     assert min(spans) >= 300
     for x, y in zip(want, got):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_sparse_cell_reader_matches_dense():
+    """Above `_DENSE_CELLS` M is read by binary search over its sorted keys,
+    taking the queries in sorted order: it reads what a dense M reads, on
+    random present, absent and repeated keys, with and without queries, and
+    on an empty M."""
+    rng = np.random.default_rng(17)
+    B = math.isqrt(engine._DENSE_CELLS) + 1
+    cell = np.unique(rng.integers(0, B * B, 5000))
+    m = rng.integers(1, 100, len(cell))
+    q = np.concatenate((rng.choice(cell, 3000), rng.integers(0, B * B, 3000),
+                        np.repeat(cell[[0, -1]], 5), [0, B * B - 1]))
+    rng.shuffle(q)
+    for c, w in ((cell, m), (cell[:0], m[:0])):
+        dense = np.zeros(B * B, dtype=np.int64)
+        dense[c] = w
+        read = engine._cell_reader(c, w, B)
+        for keys in (q, q[:0]):
+            got = read(keys)
+            assert got.dtype == np.int64
+            assert got.tobytes() == dense[keys].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sequential", "batch"])
+def test_xlogx_table_changes_nothing(monkeypatch, mode):
+    """Searches, merges and sweeps give byte-identical partitions and
+    repr(H) whether x log x is gathered from the graph's table or computed
+    (`_TABLE_ENTRIES` at 0), on weights whose cells and degrees pass the
+    ints where `np.log` and `math.log` first differ (9170 on x86-64)."""
+    def run():
+        rng = np.random.default_rng(61)
+        n = 60
+        g = build_graph(list(zip(*rng.integers(0, n, (2, 300)).tolist(),
+                                 rng.integers(1, 400, 300).tolist())),
+                        num_nodes=n)
+        config = MCMCConfig(rng_seed=3, execution_mode=mode, max_sweeps=20)
+        part, B, H = golden_section_search(g, config)
+        p = random_partition(rng, n, max_blocks=12)
+        merged = merge_blocks(g, p, 2, config, np.random.default_rng(4))
+        swept, H_swept, _ = run_mcmc(g, copy_partition(p), config)
+        return [part.assignment.tobytes(), B, repr(H),
+                merged.assignment.tobytes(), swept.assignment.tobytes(),
+                repr(H_swept)]
+
+    want = run()
+    monkeypatch.setattr(graph_module, "_TABLE_ENTRIES", 0)
+    assert run() == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from sbpart import graph as graph_module
+from sbpart.engine import MCMCConfig, description_length, golden_section_search
+from sbpart.generator import GeneratorConfig, generate
 from sbpart.graph import (NodeTables, Partition, apply_move, build_graph,
                           node_block_edge_counts, recompute_block_matrix)
 
@@ -191,3 +194,66 @@ def test_draw_neighbor_weighting():
                               rng.random(4000)).tolist():
         hits[j] += 1
     assert abs(hits[1] / 4000 - 0.75) < 0.03
+
+
+# ---------------------------------------------------------------------------
+# constant tables
+
+@pytest.mark.parametrize("entries", [None, 0])
+def test_xlogx_tables_hold_the_expression(monkeypatch, entries):
+    """The gather over 0..E equals `_xlogx` of 0..E bit for bit and the
+    Python kernels' list equals its `tolist()`, from the table and, with
+    `_TABLE_ENTRIES` at 0, from the expression and its memo."""
+    if entries is not None:
+        monkeypatch.setattr(graph_module, "_TABLE_ENTRIES", entries)
+    rng = np.random.default_rng(5)
+    rows = list(zip(*rng.integers(0, 40, (2, 200)).tolist(),
+                    rng.integers(1, 300, 200).tolist()))
+    g = build_graph(rows, num_nodes=40)
+    E = g.total_edge_weight
+    assert E > 9170
+    want = graph_module._xlogx(np.arange(E + 1))
+    got = g.xlogx(np.arange(E + 1))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    xl = g.xlogx_list
+    assert [xl[x] for x in range(E + 1)] == want.tolist()
+    assert isinstance(xl, list) == (entries is None)
+
+
+def test_node_weights_and_edge_arrays():
+    g = build_graph([(0, 1, 2), (1, 1, 3), (2, 0, 1), (0, 2, 4)],
+                    num_nodes=4)
+    k_out, k_in = g.node_weights
+    assert k_out.tolist() == [6, 3, 1, 0]
+    assert k_in.tolist() == [1, 5, 4, 0]
+    assert (k_out + k_in).tolist() == g.degree.tolist()
+    src, dst, w = g.edge_arrays
+    assert list(zip(src.tolist(), dst.tolist(), w.tolist())) == \
+        g.edge_list() == [(0, 1, 2), (0, 2, 4), (1, 1, 3), (2, 0, 1)]
+    assert g.edge_arrays is g.edge_arrays
+    for a in (k_out, k_in, src, dst, w):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_tables_of_an_edgeless_graph():
+    g = build_graph([], num_nodes=3)
+    assert g.xlogx_list == [0.0]
+    assert g.xlogx(np.zeros(2, dtype=np.int64)).tolist() == [0.0, 0.0]
+    assert [x.tolist() for x in g.node_weights] == [[0, 0, 0], [0, 0, 0]]
+    assert [x.tolist() for x in g.edge_arrays] == [[], [], []]
+    assert description_length(g, Partition.identity(3)) == 3 * np.log(3)
+    for mode in ("sequential", "batch"):
+        _, B, H = golden_section_search(
+            g, MCMCConfig(rng_seed=0, execution_mode=mode))
+        assert (B, H) == (1, 0.0)
+
+
+def test_generated_graph_builds_no_table():
+    """Generating a graph and listing its edges (the benchmark's set-up)
+    builds none of the tables that partitioning reads."""
+    gen = generate(GeneratorConfig(num_nodes=60, num_blocks=3,
+                                   target_total_edges=600, rng_seed=0))
+    gen.graph.edge_list()
+    g = gen.graph
+    assert g._xlogx_pair is None and g._weights is None and g._tables is None

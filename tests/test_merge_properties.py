@@ -45,7 +45,7 @@ def test_merge_candidates_match_oracle(case, proposals, seed, skew):
     want = [(r, s) for r in range(B) for u in U[r]
             for s in [ref.propose_merge_target(state, r, B, *u)] if s != r]
     cell, m = block_cells(g, p.assignment, B)
-    r, s, dS = merge_candidates(cell, m, B, U)
+    r, s, dS = merge_candidates(cell, m, B, U, g.xlogx)
     assert list(zip(r.tolist(), s.tolist())) == want
     oracle = [ref.merge_delta_S(state, x, y) for x, y in want]
     # the three sum the same terms in different orders
