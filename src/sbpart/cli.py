@@ -1,12 +1,16 @@
 """Command-line interface: generate, partition, evaluate, stream, bench.
 
+`partition` is a one-stage `stream`: it runs `run_stream([edges])` and its
+report is that stage's report. Both read --truth and --mask by the same
+rules (`_truth_and_mask`), and `evaluate`, `stream` and `bench` write their
+output, a file with its manifest or stdout, through one writer (`_emit`).
+
 Exit codes: 0 success, 1 usage error (including a flag value the engine or
 generator config rejects), 2 data error.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import statistics
 import sys
@@ -14,12 +18,11 @@ import time
 
 from . import __version__
 from .engine import MCMCConfig, golden_section_search
-from .graph import build_graph
 from .generator import GeneratorConfig, emit_streaming_stages, generate
-from .io import (DataError, read_assignment_tsv, read_edge_tsv, read_mask_tsv,
-                 write_assignment_tsv, write_edge_tsv, write_json,
-                 write_manifest)
-from .metrics import computational_report, correctness_report
+from .io import (DataError, json_text, read_assignment_tsv, read_edge_tsv,
+                 read_mask_tsv, write_assignment_tsv, write_edge_tsv,
+                 write_json, write_manifest)
+from .metrics import correctness_report
 from .streaming import run_stream
 
 
@@ -48,6 +51,25 @@ def _config(cls, **values):
 
 def _args_dict(args):
     return {k: v for k, v in vars(args).items() if k != "func"}
+
+
+def _truth_and_mask(args):
+    """The --truth assignment (nodes 1..its highest id, each listed) and the
+    --mask read against its length; None for a flag not given."""
+    truth = read_assignment_tsv(args.truth) if args.truth else None
+    mask = read_mask_tsv(args.mask, len(truth)) if args.mask else None
+    return truth, mask
+
+
+def _emit(args, text, inputs):
+    """Write `text` to -o with its manifest, or to stdout without -o."""
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    with open(args.output, "w") as fh:
+        fh.write(text)
+    write_manifest(f"{args.output}.manifest.json", args.command,
+                   _args_dict(args), inputs=inputs, outputs=[args.output])
 
 
 def _engine_flags(p):
@@ -86,18 +108,19 @@ def cmd_generate(args):
         target_total_edges=args.edges, overlap_ratio=args.overlap,
         uniform_degrees=args.uniform_degrees, rng_seed=args.seed)
     gen = generate(cfg)
-    edges = gen.graph.edge_list()
+    stages = []
+    if args.stages > 1:
+        # built before any file is written, so a count it rejects leaves none
+        stages = emit_streaming_stages(gen, args.stream_mode, args.stages,
+                                       rng_seed=args.seed).stages
     out = args.output
     outputs = [f"{out}.tsv", f"{out}_truth.tsv"]
-    write_edge_tsv(f"{out}.tsv", edges)
+    write_edge_tsv(f"{out}.tsv", gen.graph.edge_list())
     write_assignment_tsv(f"{out}_truth.tsv", gen.truth.assignment)
-    if args.stages > 1:
-        schedule = emit_streaming_stages(gen, args.stream_mode, args.stages,
-                                         rng_seed=args.seed)
-        for k, batch in enumerate(schedule.stages, start=1):
-            path = f"{out}_stage_{k}.tsv"
-            write_edge_tsv(path, sorted(batch))
-            outputs.append(path)
+    for k, batch in enumerate(stages, start=1):
+        path = f"{out}_stage_{k}.tsv"
+        write_edge_tsv(path, sorted(batch))
+        outputs.append(path)
     write_manifest(f"{out}_manifest.json", "generate", _args_dict(args),
                    inputs=[], outputs=outputs)
     print(f"wrote {', '.join(outputs)}")
@@ -109,58 +132,34 @@ def cmd_partition(args):
     edges = read_edge_tsv(args.edges_file)
     if not edges:
         raise DataError(f"{args.edges_file}: no edges")
-    graph = build_graph(edges)
-    t0 = time.perf_counter()
-    partition, best_B, best_H = golden_section_search(graph, config)
-    elapsed = time.perf_counter() - t0
+    truth, mask = _truth_and_mask(args)
+    session = run_stream([edges], config=config, truth=truth,
+                         generated_mask=mask)
+    report = session.reports[0]
     out = args.output
-    write_assignment_tsv(f"{out}_partition.tsv", partition.assignment)
-    report = {
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.total_edge_weight,
-        "num_blocks": best_B,
-        "description_length": best_H,
-        "computational": computational_report(
-            graph.total_edge_weight, elapsed,
-            num_workers=config.workers).to_dict(),
-    }
-    if args.truth:
-        truth = read_assignment_tsv(args.truth, num_nodes=graph.num_nodes)
-        mask = read_mask_tsv(args.mask, graph.num_nodes) if args.mask else None
-        report["correctness"] = correctness_report(
-            truth, partition.assignment, mask).to_dict()
+    write_assignment_tsv(f"{out}_partition.tsv", session.partition.assignment)
     write_json(f"{out}_report.json", report)
     write_manifest(f"{out}_manifest.json", "partition", _args_dict(args),
                    inputs=[args.edges_file],
                    outputs=[f"{out}_partition.tsv", f"{out}_report.json"])
-    print(f"B*={best_B}  H={best_H:.4f}  elapsed={elapsed:.2f}s")
+    print(f"B*={session.last_B}  H={session.last_H:.4f}  "
+          f"elapsed={report['computational']['elapsed_seconds']:.2f}s")
     return 0
 
 
 def cmd_evaluate(args):
-    truth = read_assignment_tsv(args.truth)
-    output = read_assignment_tsv(args.partition, num_nodes=len(truth),
-                                 exact=True)
-    mask = read_mask_tsv(args.mask, len(truth)) if args.mask else None
+    truth, mask = _truth_and_mask(args)
+    output = read_assignment_tsv(args.partition, num_nodes=len(truth))
     report = correctness_report(truth, output, mask).to_dict()
-    if args.output:
-        write_json(args.output, report)
-        write_manifest(f"{args.output}.manifest.json", "evaluate", _args_dict(args),
-                       inputs=[args.truth, args.partition],
-                       outputs=[args.output])
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(args, json_text(report), inputs=[args.truth, args.partition])
     return 0
 
 
 def cmd_stream(args):
     config = _engine_config(args)
-    batches = []
-    for k in range(1, args.stages + 1):
-        batches.append(read_edge_tsv(f"{args.prefix}_stage_{k}.tsv"))
-    truth = read_assignment_tsv(args.truth) if args.truth else None
-    mask = read_mask_tsv(args.mask, len(truth)) if args.mask else None
+    paths = [f"{args.prefix}_stage_{k}.tsv" for k in range(1, args.stages + 1)]
+    batches = [read_edge_tsv(path) for path in paths]
+    truth, mask = _truth_and_mask(args)
     session = run_stream(batches, config=config, truth=truth,
                          generated_mask=mask,
                          cold_each_stage=args.cold_each_stage)
@@ -176,15 +175,7 @@ def cmd_stream(args):
             "final_description_length": session.last_H,
         },
     }
-    if args.output:
-        write_json(args.output, payload)
-        write_manifest(f"{args.output}.manifest.json", "stream", _args_dict(args),
-                       inputs=[f"{args.prefix}_stage_{k}.tsv"
-                               for k in range(1, args.stages + 1)],
-                       outputs=[args.output])
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(args, json_text(payload), inputs=paths)
     return 0
 
 
@@ -230,14 +221,7 @@ def cmd_bench(args):
     for k, (e, sec, rate) in enumerate(rows):
         ratio = f"{ratio_vs_log2(rows[k - 1], rows[k]):.3f}" if k else "NA"
         lines.append(f"{e}\t{sec:.4f}\t{rate:.2f}" + f"\t{ratio}" * many)
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        write_manifest(f"{args.output}.manifest.json", "bench", _args_dict(args),
-                       inputs=[], outputs=[args.output])
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(lines) + "\n", inputs=[])
     return 0
 
 

@@ -63,17 +63,18 @@ def write_edge_tsv(path, edges):
             fh.write(f"{s + 1}\t{t + 1}\t{w}\n")
 
 
-def read_assignment_tsv(path, num_nodes=None, exact=False):
+def read_assignment_tsv(path, num_nodes=None):
     """node<TAB>block file, a line per node, into a 0-based assignment list.
 
-    With num_nodes the list covers nodes 1..num_nodes, and each must be
-    listed; a node above them is dropped, or with `exact` a DataError.
+    The list covers nodes 1..num_nodes, or without num_nodes 1..the highest
+    id listed, and each of them must be listed; a node above num_nodes is a
+    DataError.
     """
     pairs = {}
     for lineno, (node, block) in _int_rows(path, (2,)):
         if node < 1 or block < 1:
             raise DataError(f"{path}:{lineno}: ids are 1-based")
-        if exact and node > num_nodes:
+        if num_nodes is not None and node > num_nodes:
             raise DataError(f"{path}:{lineno}: node id {node} out of range "
                             f"for {num_nodes} nodes")
         if node - 1 in pairs:
@@ -113,10 +114,14 @@ def read_mask_tsv(path, num_nodes):
     return mask
 
 
+def json_text(payload):
+    """The text of every JSON file and stdout report: sorted keys, indent 2."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload))
 
 
 def write_manifest(path, command, args_dict, inputs, outputs):

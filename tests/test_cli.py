@@ -1,11 +1,14 @@
 import filecmp
+import itertools
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sbpart import metrics, streaming
 from sbpart.cli import _engine_config, build_parser, main
 from sbpart.engine import MCMCConfig
 from sbpart.generator import GeneratorConfig
@@ -58,6 +61,16 @@ def test_generate_stage_union(tmp_path):
     assert union == full
 
 
+def test_generate_bad_stage_count_writes_no_file(tmp_path, capsys):
+    """A stage count above the edge count is a data error, and it is found
+    before any file is written."""
+    rc = main(["generate", "-N", "10", "-B", "2", "--edges", "20",
+               "--stages", "500", "-o", str(tmp_path / "g")])
+    assert rc == 2
+    assert "num_stages=500 exceeds edge count" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_generate_rerun_byte_identical(tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
@@ -85,6 +98,13 @@ def test_partition_two_cliques(tmp_path):
     assert len(set(assignment[10:])) == 1
     assert assignment[0] != assignment[10]
     assert report["computational"]["rate_edges_per_second"] > 0
+    # the report is the one-stage stream's: a cold stage 1 of >= 1 probe
+    assert report["stage"] == 1
+    search = report["search"]
+    assert search["warm"] is False
+    assert search["probes"] >= 1
+    assert search["sweeps"] >= search["probes"]
+    assert search["max_probe_B"] >= report["num_blocks"]
 
 
 def test_partition_round_trip_graph(tmp_path):
@@ -167,6 +187,9 @@ def test_evaluate_writes_report_file(tmp_path):
 
 
 def test_stream_single_stage_matches_partition(tmp_path):
+    """`partition` is a one-stage `stream`: its report equals the stream's
+    stage-1 report on every key, apart from the measured fields of
+    `computational` (time, rate and the process's peak memory)."""
     out = str(tmp_path / "g1")
     main(["generate", "-N", "50", "-B", "2", "--edges", "200",
           "--stages", "1", "--seed", "5", "-o", out])
@@ -175,17 +198,90 @@ def test_stream_single_stage_matches_partition(tmp_path):
     import shutil
     shutil.copy(f"{out}.tsv", f"{out}_stage_1.tsv")
     run = str(tmp_path / "cold")
-    main(["partition", f"{out}.tsv", "-o", run, "--max-sweeps", "20"])
+    assert main(["partition", f"{out}.tsv", "-o", run, "--max-sweeps", "20",
+                 "--truth", f"{out}_truth.tsv"]) == 0
     stream_out = str(tmp_path / "stream.json")
     rc = main(["stream", out, "--stages", "1", "-o", stream_out,
-               "--max-sweeps", "20"])
+               "--truth", f"{out}_truth.tsv", "--max-sweeps", "20"])
     assert rc == 0
     cold = json.load(open(f"{run}_report.json"))
     streamed = json.load(open(stream_out))
     assert len(streamed["stages"]) == 1
+    stage = streamed["stages"][0]
+    measured = ("elapsed_seconds", "rate_edges_per_second",
+                "peak_memory_bytes")
+    for report in (cold, stage):
+        for key in measured:
+            del report["computational"][key]
+    assert "correctness" in cold
+    assert cold.keys() == stage.keys()
+    for key in cold:
+        assert cold[key] == stage[key], key
     assert streamed["total"]["final_description_length"] == \
-        pytest.approx(cold["description_length"], rel=1e-12)
+        cold["description_length"]
     assert streamed["total"]["final_num_blocks"] == cold["num_blocks"]
+
+
+def test_partition_mask_of_one_node_is_not_scored(tmp_path):
+    """A mask that selects fewer than two nodes leaves the partition
+    unscored, as a stream stage is: exit 0 and no `correctness` entry."""
+    edge_file = str(tmp_path / "cliques.tsv")
+    write_two_cliques(edge_file)
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("".join(f"{i}\t{1 + (i > 10)}\n" for i in range(1, 21)))
+    mask = tmp_path / "mask.tsv"
+    mask.write_text("".join(f"{i}\t{int(i == 3)}\n" for i in range(1, 21)))
+    out = str(tmp_path / "run")
+    rc = main(["partition", edge_file, "-o", out, "--truth", str(truth),
+               "--mask", str(mask), "--max-sweeps", "10"])
+    assert rc == 0
+    report = json.load(open(f"{out}_report.json"))
+    assert "correctness" not in report
+    assert report["num_blocks"] == 2
+
+
+def test_partition_truth_follows_stream_rules(tmp_path, capsys):
+    """`partition` reads --truth as `stream` does: a truth shorter than the
+    graph, or one with a gap in its ids, even above the graph's last node,
+    exits 2 before any file is written."""
+    edge_file = str(tmp_path / "cliques.tsv")
+    write_two_cliques(edge_file)
+    short = tmp_path / "short.tsv"
+    short.write_text("".join(f"{i}\t1\n" for i in range(1, 11)))
+    gap = tmp_path / "gap.tsv"
+    gap.write_text("".join(f"{i}\t1\n" for i in range(1, 21)) + "23\t1\n")
+    for truth in (short, gap):
+        rc = main(["partition", edge_file, "-o", str(tmp_path / "run"),
+                   "--truth", str(truth)])
+        assert rc == 2
+    err = capsys.readouterr().err
+    assert "truth covers 10 nodes, but stage 1 of the stream has 20" in err
+    assert f"{gap}: missing assignment for node 21" in err
+    assert not list(tmp_path.glob("run*"))
+
+
+def test_stdout_is_the_output_file(tmp_path, capsys, monkeypatch):
+    """`evaluate` and `stream` print exactly the bytes they write with -o.
+    The stream's clock ticks once per reading and its peak memory reads 0,
+    so that its two runs measure the same."""
+    monkeypatch.setattr(streaming, "time",
+                        SimpleNamespace(perf_counter=itertools.count().__next__))
+    monkeypatch.setattr(metrics, "peak_memory_bytes", lambda: 0)
+    out = str(tmp_path / "g1")
+    main(["generate", "-N", "40", "-B", "2", "--edges", "120",
+          "--stages", "2", "--seed", "4", "-o", out])
+    capsys.readouterr()
+    for argv in (["evaluate", "--truth", TABLE1_TRUTH,
+                  "--partition", TABLE1_OUTPUT],
+                 ["stream", out, "--stages", "2", "--truth",
+                  f"{out}_truth.tsv", "--max-sweeps", "5"]):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        path = str(tmp_path / f"{argv[0]}.json")
+        assert main(argv + ["-o", path]) == 0
+        assert capsys.readouterr().out == ""
+        assert open(path).read() == printed
+        assert os.path.exists(f"{path}.manifest.json")
 
 
 def test_stream_multi_stage_reports(tmp_path):

@@ -9,9 +9,13 @@ own `perfbench/run.py` and `src/`, one process at a time. Pair k uses seed
 SEED + k, and the base runs first in even pairs, this checkout in odd
 ones. Without --workload every workload of this checkout's BENCHMARK.json
 runs, one after the other. Per workload and end-to-end metric it prints
-each side's median and quartiles, the change in the median, and how many
+each side's median and quartiles, the change in the median, how many
 pairs this checkout wins (by the metric's `better` direction in
-BENCHMARK.json), then each side's failed and attempted operation counts.
+BENCHMARK.json) and a verdict against the metric's relative `bound`:
+`unresolved` when the base runs' interquartile spread over their median is
+wider than the bound, else `worse` when the change's median is worse than
+the base's by more than the bound, else `within`. Then it prints each
+side's failed and attempted operation counts.
 -o writes every run's metrics with that summary as JSON.
 """
 from __future__ import annotations
@@ -67,8 +71,21 @@ def summarize(runs, metrics):
                              if base else None)
         row["change_wins"] = sum(sign * (c - b) > 0 for b, c in
                                  zip(values["base"], values["change"]))
+        row["verdict"] = verdict(row, spec["bound"], sign)
         out[name] = row
     return out
+
+
+def verdict(row, bound, sign):
+    """`unresolved`, `worse` or `within`: the change's median against the
+    base's, with the relative bound, when the base's spread resolves it."""
+    base = row["base_median"]
+    lo, hi = row["base_quartiles"]
+    if not base or (hi - lo) / abs(base) > bound:
+        return "unresolved"
+    if sign * (row["change_median"] - base) / abs(base) < -bound:
+        return "worse"
+    return "within"
 
 
 def print_summary(workload, summary):
@@ -83,7 +100,8 @@ def print_summary(workload, summary):
               f"{row['base_quartiles'][1]:.6g}]  change "
               f"{row['change_median']:.6g} [{row['change_quartiles'][0]:.6g}, "
               f"{row['change_quartiles'][1]:.6g}]  {pct}, change better in "
-              f"{row['change_wins']}/{len(row['base'])} ({row['better']})")
+              f"{row['change_wins']}/{len(row['base'])} ({row['better']})"
+              f"  {row['verdict']}")
     for side in SIDES:
         s = summary[side]
         print(f"  {side}: failed {s['failed']} of {s['attempted']} attempted"
